@@ -37,9 +37,7 @@ outcome run(double crash_rate_per_day) {
     sci::sim_engine engine(config);
     engine.run();
     outcome out;
-    out.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - begin)
-                      .count();
+    out.wall_ms = sci::benchutil::ms_since(begin);
     out.stats = engine.stats();
     out.claim_failures = engine.transient_claim_failures();
     if (engine.ha() != nullptr) {

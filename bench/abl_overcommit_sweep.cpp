@@ -4,34 +4,18 @@
 //
 // Sweeps the general-purpose allocation ratio and reports how contention,
 // ready time and placement failures trade off against packing density.
-//
-// Two sweeps run side by side.  The fork sweep (sci::snapshot) pays the
-// initial population once, forks per ratio and rewrites the allocation
-// ratio in place — the paper's "dynamic ... approach": retuning a live
-// region, so the initial placement is shared and only the churn window
-// diverges.  The legacy sweep builds a full engine per ratio with the
-// override applied from the start (initial placement included), which is
-// the historical from-scratch experiment; its rows differ where initial
-// placement reacts to the ratio.
+// Each arm is a full engine run with the ratio override active from
+// setup, initial placement included.
 
-#include <chrono>
 #include <iostream>
-#include <memory>
 
 #include "analysis/figures.hpp"
 #include "analysis/render.hpp"
 #include "common.hpp"
-#include "snapshot/snapshot.hpp"
 
 namespace {
 
 constexpr double ratios[] = {1.5, 2.0, 3.0, 4.0, 6.0};
-
-sci::engine_config sweep_config() {
-    sci::engine_config config = sci::benchutil::default_config();
-    config.scenario.scale = std::min(config.scenario.scale, 0.04);
-    return config;
-}
 
 struct outcome {
     std::uint64_t placed = 0;
@@ -41,7 +25,12 @@ struct outcome {
     double peak_ready_ms = 0.0;
 };
 
-outcome measure(const sci::sim_engine& engine) {
+outcome run_arm(double ratio) {
+    sci::engine_config config = sci::benchutil::default_config();
+    config.scenario.scale = std::min(config.scenario.scale, 0.04);
+    config.gp_cpu_allocation_ratio_override = ratio;
+    sci::sim_engine engine(config);
+    engine.run();
     outcome out;
     out.placed = engine.stats().placements;
     out.failures = engine.stats().placement_failures;
@@ -55,12 +44,6 @@ outcome measure(const sci::sim_engine& engine) {
     return out;
 }
 
-double ms_since(std::chrono::steady_clock::time_point begin) {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - begin)
-        .count();
-}
-
 }  // namespace
 
 int main() {
@@ -70,64 +53,22 @@ int main() {
         "higher vCPU:pCPU ratios pack more VMs but increase CPU contention "
         "and ready time; low ratios waste capacity via NoValidHost");
 
-    table_printer table({"cpu ratio", "arms", "placed", "failures",
+    table_printer table({"cpu ratio", "placed", "failures",
                          "worst mean cont %", "worst max cont %",
                          "peak ready (s)"});
-    const auto row = [&](double ratio, const char* arms, const outcome& o) {
-        table.add_row({format_double(ratio), arms, std::to_string(o.placed),
+    const auto begin = std::chrono::steady_clock::now();
+    for (const double ratio : ratios) {
+        const outcome o = run_arm(ratio);
+        table.add_row({format_double(ratio), std::to_string(o.placed),
                        std::to_string(o.failures),
                        format_double(o.worst_mean), format_double(o.worst_max),
                        format_double(o.peak_ready_ms / 1000.0)});
-    };
-
-    // untimed warmup: the process's first full window pays allocator
-    // growth and page faults that neither sweep should own
-    {
-        sim_engine warmup(sweep_config());
-        warmup.run();
     }
-
-    // fork sweep: one shared prefix, one fork + in-place retune per ratio
-    auto begin = std::chrono::steady_clock::now();
-    snapshot::shared_snapshot base;
-    {
-        sim_engine prefix(sweep_config());
-        prefix.setup();
-        prefix.run_until(0);  // initial scrape; arms diverge after it
-        base = snapshot::share(snapshot::capture(prefix));
-    }
-    for (const double ratio : ratios) {
-        std::unique_ptr<sim_engine> engine = snapshot::fork(base);
-        engine->set_gp_cpu_allocation_ratio(ratio);
-        engine->run();
-        row(ratio, "fork", measure(*engine));
-    }
-    const double fork_ms = ms_since(begin);
-
-    // legacy sweep: a full engine per ratio, override active from setup
-    begin = std::chrono::steady_clock::now();
-    for (const double ratio : ratios) {
-        engine_config config = sweep_config();
-        config.gp_cpu_allocation_ratio_override = ratio;
-        sim_engine engine(config);
-        engine.run();
-        row(ratio, "legacy", measure(engine));
-    }
-    const double legacy_ms = ms_since(begin);
+    const double arms_ms = benchutil::ms_since(begin);
 
     std::cout << table.to_string();
-    std::cout << "\nfork-from-snapshot sweep (" << std::size(ratios)
-              << " arms): " << format_double(fork_ms)
-              << " ms vs legacy run-per-arm " << format_double(legacy_ms)
-              << " ms (" << format_double(legacy_ms / fork_ms) << "x)\n";
-    std::cout << "expected: failures fall and contention rises as the ratio "
-                 "grows — the overcommit trade-off (fork arms share the "
-                 "default-ratio initial placement; legacy arms re-place "
-                 "from scratch)\n";
-    // second column records the fork-over-legacy arm-setup speedup
-    benchutil::record_bench("abl_overcommit_sweep/fork_arms=5", fork_ms,
-                            legacy_ms / fork_ms);
-    benchutil::record_bench("abl_overcommit_sweep/legacy_arms=5", legacy_ms,
-                            0.0);
+    std::cout << "\nexpected: failures fall and contention rises as the ratio "
+                 "grows — the overcommit trade-off\n";
+    benchutil::record_bench("abl_overcommit_sweep/arms=5", arms_ms, 0.0);
     return 0;
 }

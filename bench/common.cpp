@@ -64,6 +64,19 @@ void record_bench(std::string_view name, double wall_ms, double samples_per_s) {
                                           process_peak_rss_mib()});
 }
 
+int env_bench_days() {
+    const char* v = std::getenv("SCI_BENCH_DAYS");
+    if (v == nullptr) return 0;
+    const int days = std::atoi(v);
+    return days > 0 ? days : 0;
+}
+
+double ms_since(std::chrono::steady_clock::time_point begin) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - begin)
+        .count();
+}
+
 double env_scale() {
     const char* v = std::getenv("SCI_SCALE");
     if (v == nullptr) return 0.1;

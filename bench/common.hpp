@@ -10,6 +10,7 @@
 //              1.0 reproduces the full 1,800-node / 48,000-VM region)
 //   SCI_SEED   master seed (default 42)
 
+#include <chrono>
 #include <string_view>
 
 #include "core/engine.hpp"
@@ -21,6 +22,15 @@ double env_scale();
 
 /// Seed from SCI_SEED (default 42).
 std::uint64_t env_seed();
+
+/// CI smoke hook: SCI_BENCH_DAYS caps the simulated window (0 / unset =
+/// the full 30 days).  Capped runs exercise the same code path but are
+/// never recorded into BENCH_engine.json — a short window would corrupt
+/// the perf trajectory future PRs diff against.
+int env_bench_days();
+
+/// Milliseconds of wall clock since `begin`.
+double ms_since(std::chrono::steady_clock::time_point begin);
 
 /// Default engine config honoring the environment overrides.
 engine_config default_config();

@@ -39,9 +39,7 @@ void bm_churn_placement(benchmark::State& state) {
         sci::sim_engine engine(config);
         const auto begin = std::chrono::steady_clock::now();
         engine.run();
-        const double run_ms = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - begin)
-                                  .count();
+        const double run_ms = sci::benchutil::ms_since(begin);
         const sci::run_stats& stats = engine.stats();
         const double drain_ms = stats.churn_placement_wall_ms;
         const auto arrivals = stats.window_speculative_placements +

@@ -24,21 +24,10 @@
 
 namespace {
 
-/// CI smoke hook: SCI_BENCH_DAYS caps the simulated window (0 / unset =
-/// the full 30 days).  Capped runs exercise the same code path at full
-/// fleet scale but are never recorded into BENCH_engine.json — a short
-/// window would corrupt the perf trajectory future PRs diff against.
-int env_bench_days() {
-    const char* v = std::getenv("SCI_BENCH_DAYS");
-    if (v == nullptr) return 0;
-    const int days = std::atoi(v);
-    return days > 0 ? days : 0;
-}
-
 void bm_full_window(benchmark::State& state) {
     const double scale = static_cast<double>(state.range(0)) / 1000.0;
     const auto threads = static_cast<unsigned>(state.range(1));
-    const int cap_days = env_bench_days();
+    const int cap_days = sci::benchutil::env_bench_days();
     double best_ms = std::numeric_limits<double>::infinity();
     double samples_per_s = 0.0;
     for (auto _ : state) {
@@ -54,10 +43,7 @@ void bm_full_window(benchmark::State& state) {
         } else {
             engine.run();
         }
-        const double ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - begin)
-                .count();
+        const double ms = sci::benchutil::ms_since(begin);
         if (ms < best_ms) {
             best_ms = ms;
             samples_per_s =

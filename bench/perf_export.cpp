@@ -53,9 +53,7 @@ export_run run_mode(bool streamed, const std::filesystem::path& dir) {
         engine.run();
         report = sci::export_dataset(engine.store(), dir);
     }
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - begin)
-                               .count();
+    const double wall_ms = sci::benchutil::ms_since(begin);
 
     export_run result;
     result.wall_ms = wall_ms;

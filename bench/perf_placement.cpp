@@ -37,10 +37,7 @@ void bm_place_initial(benchmark::State& state) {
         sci::sim_engine engine(config);
         const auto begin = std::chrono::steady_clock::now();
         engine.setup();  // places the whole initial population
-        const double setup_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - begin)
-                .count();
+        const double setup_ms = sci::benchutil::ms_since(begin);
         const double place_ms = engine.stats().initial_placement_wall_ms;
         if (place_ms < best_ms) {
             best_ms = place_ms;

@@ -21,23 +21,6 @@
 #include "snapshot/snapshot.hpp"
 #include "snapshot/whatif.hpp"
 
-namespace {
-
-int env_bench_days() {
-    const char* v = std::getenv("SCI_BENCH_DAYS");
-    if (v == nullptr) return 0;
-    const int days = std::atoi(v);
-    return days > 0 ? days : 0;
-}
-
-double ms_since(std::chrono::steady_clock::time_point begin) {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - begin)
-        .count();
-}
-
-}  // namespace
-
 int main() {
     using namespace sci;
     benchutil::print_header(
@@ -47,7 +30,7 @@ int main() {
 
     engine_config config = benchutil::default_config();
     config.scenario.scale = 0.25;  // the ablation acceptance point
-    const int cap_days = env_bench_days();
+    const int cap_days = benchutil::env_bench_days();
     const int window_days = cap_days > 0 ? cap_days : 30;
     const sim_time window_end = days(window_days);
     // fork point at 95% of the window: the what-if is "from here, what
@@ -68,27 +51,27 @@ int main() {
     sim_engine base(config);
     base.setup();
     base.run_until(fork_at);
-    const double prefix_ms = ms_since(begin);
+    const double prefix_ms = benchutil::ms_since(begin);
 
     // --- primitive costs ---------------------------------------------------
     begin = std::chrono::steady_clock::now();
     snapshot::engine_state state = snapshot::capture(base);
-    const double capture_ms = ms_since(begin);
+    const double capture_ms = benchutil::ms_since(begin);
 
     begin = std::chrono::steady_clock::now();
     const std::vector<std::byte> bytes = snapshot::serialize(state);
-    const double serialize_ms = ms_since(begin);
+    const double serialize_ms = benchutil::ms_since(begin);
 
     begin = std::chrono::steady_clock::now();
     std::unique_ptr<sim_engine> restored =
         snapshot::restore(snapshot::deserialize(bytes));
-    const double restore_ms = ms_since(begin);
+    const double restore_ms = benchutil::ms_since(begin);
     restored.reset();
 
     const snapshot::shared_snapshot shared = snapshot::share(std::move(state));
     begin = std::chrono::steady_clock::now();
     std::unique_ptr<sim_engine> probe = snapshot::fork(shared);
-    const double fork_ms = ms_since(begin);
+    const double fork_ms = benchutil::ms_since(begin);
     probe.reset();
 
     std::printf("prefix (%d%% of %d days): %.1f ms\n", 95, window_days,
@@ -109,7 +92,8 @@ int main() {
         fork_arm->run_until(window_end);
         fork_migrations[arm] = fork_arm->stats().drs_migrations;
     }
-    const double fork_path_ms = ms_since(begin) + prefix_ms + capture_ms;
+    const double fork_path_ms =
+        benchutil::ms_since(begin) + prefix_ms + capture_ms;
 
     begin = std::chrono::steady_clock::now();
     std::uint64_t twice_migrations[2] = {0, 0};
@@ -121,7 +105,7 @@ int main() {
         engine.run_until(window_end);
         twice_migrations[arm] = engine.stats().drs_migrations;
     }
-    const double run_twice_ms = ms_since(begin);
+    const double run_twice_ms = benchutil::ms_since(begin);
 
     const bool arms_match = fork_migrations[0] == twice_migrations[0] &&
                             fork_migrations[1] == twice_migrations[1];
@@ -149,7 +133,7 @@ int main() {
     begin = std::chrono::steady_clock::now();
     pool.run_tasks(batches,
                    [&](std::size_t i) { results[i] = planner.plan(queries); });
-    const double whatif_ms = ms_since(begin);
+    const double whatif_ms = benchutil::ms_since(begin);
     const double whatif_qps =
         static_cast<double>(query_count * batches) / (whatif_ms / 1000.0);
     std::printf("%zu concurrent what-if batches x %zu queries: %.1f ms "

@@ -114,21 +114,6 @@ void sim_engine::set_drs_enabled(bool enabled) {
     for (drs_cluster& cluster : clusters_) cluster.set_enabled(enabled);
 }
 
-void sim_engine::set_gp_cpu_allocation_ratio(double ratio) {
-    expects(ratio > 0.0,
-            "sim_engine::set_gp_cpu_allocation_ratio: ratio must be positive");
-    config_.gp_cpu_allocation_ratio_override = ratio;
-    for (const building_block& bb : scenario_.infrastructure.bbs()) {
-        if (bb.purpose != bb_purpose::general) continue;
-        provider_inventory inv = placement_.inventory(bb.id);
-        inv.cpu_allocation_ratio = ratio;
-        placement_.update_inventory(bb.id, inv);
-        cluster_of(bb.id).set_allocation_ratios(ratio,
-                                                inv.ram_allocation_ratio);
-    }
-    conductor_->invalidate_host_view();
-}
-
 // ---------------------------------------------------------------------------
 // setup
 // ---------------------------------------------------------------------------
@@ -382,45 +367,32 @@ void sim_engine::place_initial_population() {
     // field they read is unchanged; that includes the contention feed,
     // which is safe here because no scrape has run yet (the first fires
     // at t = 0, after setup), so the EWMA is zero on both sides.
-    const std::size_t n = order.size();
-    const std::size_t batch = std::min(n, placement_batch_size);
-    spec_slots_.resize(batch);
-    spec_requests_.resize(batch);
-    const filter_scheduler& scheduler = conductor_->scheduler();
-    for (std::size_t begin = 0; begin < n; begin += placement_batch_size) {
-        const std::size_t count = std::min(placement_batch_size, n - begin);
-        // serial prep: requests (policy sampling stays on the main thread)
-        for (std::size_t i = 0; i < count; ++i) {
-            const vm_record& rec = vms_.get(order[begin + i]->vm);
-            schedule_request& rq = spec_requests_[i];
-            rq = schedule_request{};
-            rq.vm = rec.id;
-            rq.flavor = rec.flavor;
-            rq.project = rec.project;
-            rq.policy = policy_for(rec.id, scenario_.catalog.get(rec.flavor));
-        }
-        // immutable snapshot of the live host view for this batch
-        spec_snapshot_ = conductor_->host_states();  // copy reuses capacity
-        conductor_->snapshot_claim_counts(spec_claim_counts_);
-        run_sharded(count, [&](unsigned, std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-                const schedule_request& rq = spec_requests_[i];
-                const request_context ctx{rq, scenario_.catalog.get(rq.flavor)};
-                scheduler.speculate(ctx, spec_snapshot_, spec_slots_[i]);
-            }
-        });
+    speculation_batch batch({.placements = &run_stats::speculative_placements,
+                             .misses = &run_stats::speculation_misses});
+    const speculation_batch::source src = batch_source();
+    for (std::size_t begin = 0; begin < order.size();
+         begin += placement_batch_size) {
+        const std::size_t end =
+            std::min(order.size(), begin + placement_batch_size);
+        std::vector<vm_id> vms;
+        vms.reserve(end - begin);
+        for (std::size_t i = begin; i < end; ++i) vms.push_back(order[i]->vm);
+        batch.open(std::move(vms),
+                   {order[begin]->created_at, order[end - 1]->created_at, 0},
+                   src, batch_stamp(), stats_);
         // serial commit pass, in creation order
-        for (std::size_t i = 0; i < count; ++i) {
-            const vm_plan* plan = order[begin + i];
-            if (place_vm(plan->vm, plan->created_at,
-                         lifecycle_event_kind::create, &spec_slots_[i],
-                         spec_claim_counts_)) {
-                schedule_deletion(plan);
-            }
+        for (std::size_t i = begin; i < end; ++i) {
+            const vm_plan* plan = order[i];
+            const bool placed = batch.commit(
+                plan->vm, *conductor_, stats_,
+                [&](const host_speculation* spec,
+                    std::span<const std::uint64_t> counts) {
+                    return place_vm(plan->vm, plan->created_at,
+                                    lifecycle_event_kind::create, spec, counts);
+                });
+            if (placed) schedule_deletion(plan);
         }
     }
-    stats_.speculative_placements = conductor_->speculative_placement_count();
-    stats_.speculation_misses = conductor_->speculation_miss_count();
     stats_.initial_placement_wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - wall_begin)
@@ -473,39 +445,49 @@ void sim_engine::drain_arrivals(sim_time t) {
     const bool speculative = !config_.holistic;
     while (arrival_cursor_ < arrivals_.size() &&
            arrivals_[arrival_cursor_].created_at == t) {
+        const vm_id vm = arrivals_[arrival_cursor_].vm;
         if (speculative) {
             // Re-checked per arrival: a shrink can happen mid-drain (the
             // forced-fit failure path releases the claim it just made).
-            if (window_spec_active_ &&
-                (placement_.shrink_version() != spec_shrink_version_ ||
-                 (config_.contention_aware && stats_.scrapes != spec_scrapes_))) {
-                // usage no longer monotone since the snapshot (or the
-                // contention feed moved): the uncommitted tail cannot be
-                // committed exactly — drop it and re-speculate below
-                stats_.window_speculation_invalidated +=
-                    static_cast<std::uint64_t>(spec_end_ - arrival_cursor_);
-                window_spec_active_ = false;
-            }
-            if (!window_spec_active_ || arrival_cursor_ >= spec_end_) {
-                speculate_arrival_batch(t);
+            window_batch_.invalidate_if_stale(batch_stamp(), stats_);
+            if (!window_batch_.has_next()) {
+                // batch = the pending arrivals of the current scrape
+                // interval (the longest stretch over which the contention
+                // feed is guaranteed stationary), capped at
+                // placement_batch_size; never empty, since arrivals_[cursor]
+                // is due at t
+                const sim_time horizon =
+                    (t / config_.sampling_interval + 1) *
+                    config_.sampling_interval;
+                std::vector<vm_id> vms;
+                for (std::size_t i = arrival_cursor_;
+                     i < arrivals_.size() && arrivals_[i].created_at < horizon &&
+                     vms.size() < placement_batch_size;
+                     ++i) {
+                    vms.push_back(arrivals_[i].vm);
+                }
+                const sim_time last =
+                    arrivals_[arrival_cursor_ + vms.size() - 1].created_at;
+                window_batch_.open(std::move(vms), {t, last, 0},
+                                   batch_source(), batch_stamp(), stats_);
             }
         }
-        const host_speculation* spec =
-            window_spec_active_ ? &spec_slots_[arrival_cursor_ - spec_begin_]
-                                : nullptr;
-        const vm_id vm = arrivals_[arrival_cursor_].vm;
         const std::optional<sim_time> deleted_at =
             arrivals_[arrival_cursor_].deleted_at;
         ++arrival_cursor_;
-        const std::uint64_t spec_ok = conductor_->speculative_placement_count();
-        const std::uint64_t spec_miss = conductor_->speculation_miss_count();
         // Under backpressure a failed arrival is not a terminal
         // schedule_fail: it is admitted to the bounded deadline queue (or
         // shed with a reason when that is full).  The planned deletion is
         // only scheduled once the VM actually places.
         const bool quiet = bp_ != nullptr;
-        if (place_vm(vm, t, lifecycle_event_kind::create, spec,
-                     spec_claim_counts_, quiet)) {
+        const bool placed = window_batch_.commit(
+            vm, *conductor_, stats_,
+            [&](const host_speculation* spec,
+                std::span<const std::uint64_t> counts) {
+                return place_vm(vm, t, lifecycle_event_kind::create, spec,
+                                counts, quiet);
+            });
+        if (placed) {
             if (deleted_at.has_value()) {
                 queue_.schedule_at(
                     *deleted_at,
@@ -515,14 +497,8 @@ void sim_engine::drain_arrivals(sim_time t) {
             bp_admit(vm, t, bp_request_kind::create,
                      deleted_at.value_or(bp_queued_request::no_deletion));
         }
-        stats_.window_speculative_placements +=
-            conductor_->speculative_placement_count() - spec_ok;
-        stats_.window_speculation_misses +=
-            conductor_->speculation_miss_count() - spec_miss;
     }
-    if (window_spec_active_ && arrival_cursor_ >= spec_end_) {
-        window_spec_active_ = false;  // batch fully committed
-    }
+    window_batch_.close_if_consumed();
     if (arrival_cursor_ < arrivals_.size()) {
         // re-arm in the same pinned slot: the tie order above holds at
         // every future timestamp too
@@ -536,55 +512,29 @@ void sim_engine::drain_arrivals(sim_time t) {
             .count();
 }
 
-void sim_engine::speculate_arrival_batch(sim_time t) {
-    // batch = the pending arrivals of the current scrape interval (the
-    // longest stretch over which the contention feed is guaranteed
-    // stationary), capped at placement_batch_size
-    const sim_time horizon =
-        (t / config_.sampling_interval + 1) * config_.sampling_interval;
-    std::size_t end = arrival_cursor_;
-    while (end < arrivals_.size() && arrivals_[end].created_at < horizon &&
-           end - arrival_cursor_ < placement_batch_size) {
-        ++end;
-    }
-    const std::size_t count = end - arrival_cursor_;
-    // the caller only speculates when an arrival is due at t, so the
-    // batch is never empty (arrivals_[cursor].created_at == t < horizon)
-    if (spec_slots_.size() < count) {
-        spec_slots_.resize(count);
-        spec_requests_.resize(count);
-    }
-    const filter_scheduler& scheduler = conductor_->scheduler();
-    // serial prep: requests (policy sampling stays on the main thread)
-    for (std::size_t i = 0; i < count; ++i) {
-        const vm_record& rec = vms_.get(arrivals_[arrival_cursor_ + i].vm);
-        schedule_request& rq = spec_requests_[i];
-        rq = schedule_request{};
-        rq.vm = rec.id;
-        rq.flavor = rec.flavor;
-        rq.project = rec.project;
-        rq.policy = policy_for(rec.id, scenario_.catalog.get(rec.flavor));
-    }
-    // immutable snapshot of the live host view for this batch
-    spec_snapshot_ = conductor_->host_states();  // copy reuses capacity
-    conductor_->snapshot_claim_counts(spec_claim_counts_);
-    run_sharded(count, [&](unsigned, std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const schedule_request& rq = spec_requests_[i];
-            const request_context ctx{rq, scenario_.catalog.get(rq.flavor)};
-            scheduler.speculate(ctx, spec_snapshot_, spec_slots_[i]);
-        }
-    });
-    spec_begin_ = arrival_cursor_;
-    spec_end_ = end;
-    spec_shrink_version_ = placement_.shrink_version();
-    spec_scrapes_ = stats_.scrapes;
-    window_spec_active_ = true;
-    ++stats_.window_batches;
-    stats_.window_speculations += static_cast<std::uint64_t>(count);
-    churn_batch_spans_.push_back({arrivals_[spec_begin_].created_at,
-                                  arrivals_[end - 1].created_at,
-                                  static_cast<std::uint32_t>(count)});
+schedule_request sim_engine::request_for(vm_id vm) const {
+    const vm_record& rec = vms_.get(vm);
+    schedule_request request;
+    request.vm = vm;
+    request.flavor = rec.flavor;
+    request.project = rec.project;
+    request.policy = policy_for(vm, scenario_.catalog.get(rec.flavor));
+    return request;
+}
+
+speculation_batch::source sim_engine::batch_source() {
+    return {*conductor_, scenario_.catalog,
+            [this](vm_id vm) { return request_for(vm); },
+            [this](std::size_t count, const thread_pool::range_fn& fn) {
+                run_sharded(count, fn);
+            }};
+}
+
+speculation_batch::stamp sim_engine::batch_stamp() const {
+    // the scrape count only matters to a contention-aware scheduler,
+    // whose feed moves at every scrape
+    return {placement_.shrink_version(),
+            config_.contention_aware ? stats_.scrapes : 0};
 }
 
 // ---------------------------------------------------------------------------
@@ -609,11 +559,7 @@ bool sim_engine::place_vm(vm_id vm, sim_time when, lifecycle_event_kind kind,
 
     vm_record& rec = vms_.get_mutable(vm);
     const flavor& f = scenario_.catalog.get(rec.flavor);
-    schedule_request request;
-    request.vm = vm;
-    request.flavor = rec.flavor;
-    request.project = rec.project;
-    request.policy = policy_for(vm, f);
+    const schedule_request request = request_for(vm);
 
     // On a speculation miss the conductor resets the outcome before the
     // serial re-placement, so its attempts are counted exactly once here.
@@ -1263,7 +1209,13 @@ void sim_engine::cross_bb_pass(sim_time t) {
             continue;
         }
         const node_id old_node = rec.placed_node;
-        placement_.move(move.vm, move.to, f);
+        try {
+            placement_.move(move.vm, move.to, f);
+        } catch (const capacity_error&) {
+            // earlier moves of this pass filled the target BB: move()
+            // rolled itself back, so skip it like node-level fragmentation
+            continue;
+        }
         cluster_of(move.from).remove(move.vm, f, old_node);
         to_cluster.place(move.vm, f, *target);
         rec.placed_bb = move.to;
@@ -1581,52 +1533,63 @@ void sim_engine::drain_ha_restarts(sim_time t) {
         const vm_id vm = group.victims[v];
         if (!ha_->pending(vm)) {
             // deleted while down; consume its slot if it was speculated
-            if (ha_spec_active_ && ha_spec_cursor_ < ha_spec_vms_.size() &&
-                ha_spec_vms_[ha_spec_cursor_] == vm) {
-                ++ha_spec_cursor_;
+            if (recovery_batch_.take(vm) != nullptr) {
                 ++stats_.recovery_speculation_cancelled;
             }
             continue;
         }
-        const host_speculation* spec = nullptr;
         if (speculative) {
             // Re-checked per victim: the batch may span groups (and so
             // stay open across events), and even mid-drain the forced-fit
             // failure path releases the claim it just made.
-            if (ha_spec_active_ &&
-                (placement_.shrink_version() != ha_spec_shrink_version_ ||
-                 (config_.contention_aware && stats_.scrapes != ha_spec_scrapes_))) {
-                stats_.recovery_speculation_invalidated +=
-                    static_cast<std::uint64_t>(ha_spec_vms_.size() -
-                                               ha_spec_cursor_);
-                ha_spec_active_ = false;
-            }
-            if (!ha_spec_active_ || ha_spec_cursor_ >= ha_spec_vms_.size()) {
-                speculate_recovery_batch(t, group.victims, v);
-                // the fresh batch starts at this victim by construction
-                expects(ha_spec_vms_[ha_spec_cursor_] == vm,
-                        "sim_engine::drain_ha_restarts: batch out of order");
-            }
-            // Covered groups drain in due order, so their victims find
-            // themselves at the cursor.  A group enqueued after the batch
-            // was speculated (a retry round, a fresh crash epoch) can
-            // drain between two covered groups when its due time lands
-            // there: its victims hold no slot and place unspeculated,
-            // leaving the batch open for the next covered group — the
-            // claim counters keep the untouched slots exact.
-            if (ha_spec_vms_[ha_spec_cursor_] == vm) {
-                spec = &ha_spec_slots_[ha_spec_cursor_];
-                ++ha_spec_cursor_;
+            recovery_batch_.invalidate_if_stale(batch_stamp(), stats_);
+            if (!recovery_batch_.has_next()) {
+                // batch = the still-pending victims from this one onward
+                // plus the queued groups due within the current scrape
+                // interval (the longest stretch over which the contention
+                // feed is stationary), capped at placement_batch_size;
+                // never empty, since this victim is pending
+                const sim_time horizon =
+                    (t / config_.sampling_interval + 1) *
+                    config_.sampling_interval;
+                std::vector<vm_id> vms;
+                sim_time last_due = t;
+                for (std::size_t i = v; i < group.victims.size() &&
+                                        vms.size() < placement_batch_size;
+                     ++i) {
+                    if (ha_->pending(group.victims[i])) {
+                        vms.push_back(group.victims[i]);
+                    }
+                }
+                for (const ha_group& g : ha_groups_) {
+                    if (g.due >= horizon || vms.size() >= placement_batch_size) {
+                        break;
+                    }
+                    for (const vm_id queued : g.victims) {
+                        if (vms.size() >= placement_batch_size) break;
+                        if (!ha_->pending(queued)) continue;
+                        vms.push_back(queued);
+                        last_due = g.due;
+                    }
+                }
+                recovery_batch_.open(std::move(vms), {t, last_due, 0},
+                                     batch_source(), batch_stamp(), stats_);
             }
         }
-        const std::uint64_t spec_ok = conductor_->speculative_placement_count();
-        const std::uint64_t spec_miss = conductor_->speculation_miss_count();
-        const bool placed = place_vm(vm, t, lifecycle_event_kind::ha_restart,
-                                     spec, ha_spec_claim_counts_);
-        stats_.recovery_speculative_placements +=
-            conductor_->speculative_placement_count() - spec_ok;
-        stats_.recovery_speculation_misses +=
-            conductor_->speculation_miss_count() - spec_miss;
+        // Covered groups drain in due order, so their victims find
+        // themselves at the cursor.  A group enqueued after the batch was
+        // speculated (a retry round, a fresh crash epoch) can drain
+        // between two covered groups when its due time lands there: its
+        // victims hold no slot and place unspeculated, leaving the batch
+        // open for the next covered group — the claim counters keep the
+        // untouched slots exact.
+        const bool placed = recovery_batch_.commit(
+            vm, *conductor_, stats_,
+            [&](const host_speculation* spec,
+                std::span<const std::uint64_t> counts) {
+                return place_vm(vm, t, lifecycle_event_kind::ha_restart, spec,
+                                counts);
+            });
         if (placed) {
             ha_->on_restart_success(vm, t);
             ++stats_.ha_restarts;
@@ -1653,9 +1616,7 @@ void sim_engine::drain_ha_restarts(sim_time t) {
                 .reason = schedule_fail_reason::ha_attempts_exhausted});
         }
     }
-    if (ha_spec_active_ && ha_spec_cursor_ >= ha_spec_vms_.size()) {
-        ha_spec_active_ = false;  // batch fully consumed
-    }
+    recovery_batch_.close_if_consumed();
     if (!failed.empty()) {
         // one retry group per drain: the old code scheduled the per-victim
         // retries back to back (nothing else allocates sequence numbers
@@ -1667,70 +1628,6 @@ void sim_engine::drain_ha_restarts(sim_time t) {
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - wall_begin)
             .count();
-}
-
-void sim_engine::speculate_recovery_batch(sim_time t,
-                                          const std::vector<vm_id>& victims,
-                                          std::size_t from) {
-    // batch = the still-pending victims from `victims[from]` onward plus
-    // the queued groups due within the current scrape interval (the
-    // longest stretch over which the contention feed is stationary),
-    // capped at placement_batch_size
-    const sim_time horizon =
-        (t / config_.sampling_interval + 1) * config_.sampling_interval;
-    ha_spec_vms_.clear();
-    sim_time last_due = t;
-    for (std::size_t i = from; i < victims.size(); ++i) {
-        if (ha_spec_vms_.size() >= placement_batch_size) break;
-        if (ha_->pending(victims[i])) ha_spec_vms_.push_back(victims[i]);
-    }
-    for (const ha_group& g : ha_groups_) {
-        if (g.due >= horizon || ha_spec_vms_.size() >= placement_batch_size) {
-            break;
-        }
-        for (const vm_id vm : g.victims) {
-            if (ha_spec_vms_.size() >= placement_batch_size) break;
-            if (!ha_->pending(vm)) continue;
-            ha_spec_vms_.push_back(vm);
-            last_due = g.due;
-        }
-    }
-    const std::size_t count = ha_spec_vms_.size();
-    // the caller only speculates for a victim that is still pending, so
-    // the batch is never empty
-    if (ha_spec_slots_.size() < count) {
-        ha_spec_slots_.resize(count);
-        ha_spec_requests_.resize(count);
-    }
-    const filter_scheduler& scheduler = conductor_->scheduler();
-    // serial prep: requests (policy sampling stays on the main thread)
-    for (std::size_t i = 0; i < count; ++i) {
-        const vm_record& rec = vms_.get(ha_spec_vms_[i]);
-        schedule_request& rq = ha_spec_requests_[i];
-        rq = schedule_request{};
-        rq.vm = rec.id;
-        rq.flavor = rec.flavor;
-        rq.project = rec.project;
-        rq.policy = policy_for(rec.id, scenario_.catalog.get(rec.flavor));
-    }
-    // immutable snapshot of the live host view for this batch
-    spec_snapshot_ = conductor_->host_states();  // copy reuses capacity
-    conductor_->snapshot_claim_counts(ha_spec_claim_counts_);
-    run_sharded(count, [&](unsigned, std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const schedule_request& rq = ha_spec_requests_[i];
-            const request_context ctx{rq, scenario_.catalog.get(rq.flavor)};
-            scheduler.speculate(ctx, spec_snapshot_, ha_spec_slots_[i]);
-        }
-    });
-    ha_spec_cursor_ = 0;
-    ha_spec_shrink_version_ = placement_.shrink_version();
-    ha_spec_scrapes_ = stats_.scrapes;
-    ha_spec_active_ = true;
-    ++stats_.recovery_batches;
-    stats_.recovery_speculations += static_cast<std::uint64_t>(count);
-    recovery_batch_spans_.push_back(
-        {t, last_due, static_cast<std::uint32_t>(count)});
 }
 
 bool sim_engine::migration_aborted() {

@@ -25,7 +25,9 @@
 #include <span>
 #include <vector>
 
+#include "core/run_stats.hpp"
 #include "core/scenario.hpp"
+#include "core/speculation_batch.hpp"
 #include "drs/drs.hpp"
 #include "drs/migration.hpp"
 #include "fault/fault.hpp"
@@ -130,127 +132,6 @@ struct engine_config {
     backpressure_config backpressure;
 };
 
-/// Aggregate counters of one simulation run.
-struct run_stats {
-    std::uint64_t placements = 0;
-    std::uint64_t placement_failures = 0;
-    std::uint64_t scheduler_retries = 0;
-    std::uint64_t drs_migrations = 0;
-    std::uint64_t evacuations = 0;
-    /// Placements where the BB had aggregate space but no single node fit
-    /// under the ratios — intra-BB fragmentation made visible.
-    std::uint64_t forced_fits = 0;
-    /// Holistic placements where a node accepted the VM but the provider
-    /// claim found the BB full (crash-shrunken inventory): degraded to
-    /// NoValidHost instead of aborting.  Subset of placement_failures.
-    std::uint64_t holistic_claim_rejections = 0;
-    std::uint64_t deletions = 0;
-    std::uint64_t scrapes = 0;
-    /// Cross-building-block rebalancer moves (0 unless enabled).
-    std::uint64_t cross_bb_moves = 0;
-    /// Successful flavor resizes (and attempts the fleet rejected).
-    std::uint64_t resizes = 0;
-    std::uint64_t resize_failures = 0;
-    /// Total estimated wall-clock spent in live migrations (seconds).
-    double migration_seconds = 0.0;
-    /// Worst estimated stop-and-copy downtime of any migration (ms).
-    double max_migration_downtime_ms = 0.0;
-
-    // --- speculative initial placement -----------------------------------
-    // The batched pipeline runs at every thread count (inline when
-    // serial), so these counters — which appear in the report — are
-    // identical at any SCI_THREADS.
-    /// Initial placements committed straight from a worker's speculative
-    /// filter+weigh result (exactly revalidated at commit).
-    std::uint64_t speculative_placements = 0;
-    /// Speculations fully invalidated by earlier commits in their batch;
-    /// the VM was re-placed through the serial retry loop.
-    std::uint64_t speculation_misses = 0;
-    /// Wall-clock of place_initial_population (host timing for benches —
-    /// NOT part of the deterministic output, excluded from comparisons).
-    double initial_placement_wall_ms = 0.0;
-
-    // --- batched churn-arrival placement ----------------------------------
-    // In-window arrivals are grouped per scrape interval and driven
-    // through the same speculate/commit pipeline (inline when serial), so
-    // every counter here is identical at any SCI_THREADS.
-    std::uint64_t window_batches = 0;       ///< speculation batches launched
-    std::uint64_t window_speculations = 0;  ///< arrivals speculated in-window
-    /// Arrivals committed straight from a window speculation.
-    std::uint64_t window_speculative_placements = 0;
-    /// Window speculations whose corrected candidates were exhausted at
-    /// commit; the arrival continued through the ordinary retry rounds.
-    std::uint64_t window_speculation_misses = 0;
-    /// Speculations dropped before commit because provider usage shrank
-    /// (deletion / evacuation / crash / resize) or the contention feed
-    /// moved since the batch snapshot; the tail of the batch re-speculates.
-    std::uint64_t window_speculation_invalidated = 0;
-    /// Wall-clock spent draining churn arrivals (host timing for benches —
-    /// NOT part of the deterministic output, excluded from comparisons).
-    double churn_placement_wall_ms = 0.0;
-
-    // --- batched HA recovery placement ------------------------------------
-    // After a crash the detection epoch's victim queue is re-placed as a
-    // batch through the same speculate/commit pipeline (inline when
-    // serial); all zero when faults are off or the run is holistic.
-    std::uint64_t recovery_batches = 0;      ///< speculation batches launched
-    std::uint64_t recovery_speculations = 0; ///< victims speculated
-    /// Victims committed straight from a recovery speculation.
-    std::uint64_t recovery_speculative_placements = 0;
-    /// Recovery speculations whose corrected candidates were exhausted at
-    /// commit; the victim continued through the ordinary retry rounds.
-    std::uint64_t recovery_speculation_misses = 0;
-    /// Speculations dropped because usage shrank (another crash, deletion,
-    /// evacuation, resize) or the contention feed moved since the batch
-    /// snapshot; the tail of the victim queue re-speculates.
-    std::uint64_t recovery_speculation_invalidated = 0;
-    /// Speculated victims deleted by their owner before the restart fired.
-    std::uint64_t recovery_speculation_cancelled = 0;
-    /// Wall-clock spent draining HA restarts (host timing for benches —
-    /// NOT part of the deterministic output, excluded from comparisons).
-    double recovery_placement_wall_ms = 0.0;
-
-    // --- batched cross-BB target speculation -------------------------------
-    // A rebalance pass's planned moves have their destination nodes
-    // speculated as a batch against each target cluster's usage version;
-    // commits consume a target only while its cluster is unchanged, else
-    // the tail re-speculates.  Identical at any SCI_THREADS.
-    std::uint64_t rebalance_target_speculations = 0;
-    /// Targets consumed at commit straight from the batch.
-    std::uint64_t rebalance_targets_used = 0;
-    /// Targets dropped by a tail re-speculation after an earlier commit
-    /// (or abort rollback) moved usage under the batch.
-    std::uint64_t rebalance_target_invalidated = 0;
-
-    // --- fault injection & HA recovery (all zero when faults are off) ----
-    std::uint64_t az_outages = 0;       ///< AZ-level correlated outages fired
-    std::uint64_t host_crashes = 0;     ///< injected hypervisor failures
-    std::uint64_t crash_victims = 0;    ///< VMs killed by host crashes
-    std::uint64_t ha_restarts = 0;      ///< victims re-placed by HA
-    std::uint64_t ha_restart_failures = 0;  ///< failed restart attempts
-    std::uint64_t migration_aborts = 0;     ///< DRS/cross-BB aborts
-    std::uint64_t maintenance_evacuations = 0;  ///< unplanned maintenance moves
-    /// Pre-copy work thrown away by aborted migrations (seconds).
-    double wasted_migration_seconds = 0.0;
-
-    // --- conductor backpressure (all zero when mode == degrade) -----------
-    // The no_blackhole invariant closes this ledger: bp_enqueued ==
-    // bp_queue_placed + bp_shed_deadline + bp_shed_evicted + bp_cancelled
-    // + still-queued at evaluation time.
-    std::uint64_t bp_enqueued = 0;        ///< requests that entered the queue
-    std::uint64_t bp_queue_placed = 0;    ///< queued requests later placed
-    std::uint64_t bp_shed_deadline = 0;   ///< shed: queue deadline expired
-    std::uint64_t bp_shed_queue_full = 0; ///< shed at admit: queue was full
-    std::uint64_t bp_shed_evicted = 0;    ///< shed: displaced by higher priority
-    std::uint64_t bp_cancelled = 0;       ///< owner deleted a queued request
-    std::uint64_t bp_regime_transitions = 0;  ///< queuing<->shedding flips
-    std::uint64_t bp_peak_queue_len = 0;  ///< high-water mark of the queue
-    /// HA victims abandoned after max_restart_attempts in degrade mode
-    /// (recorded as shed/ha_attempts_exhausted — never silent; under
-    /// queue/shed modes the victim is re-queued instead).
-    std::uint64_t ha_give_ups = 0;
-};
-
 /// Optional in-run observation hooks for the invariants harness
 /// (sci::harness).  Both unset by default — the engine then behaves
 /// exactly as before; in particular the DRS imbalance figures are only
@@ -337,42 +218,26 @@ public:
     /// Output is unaffected — sharding is fixed-count by contract.
     void set_shared_pool(thread_pool* pool);
 
-    /// Arrival-time span of one speculated churn batch (diagnostics: lets
-    /// tests prove batches straddled deletion / fault events in-window).
-    struct churn_batch_span {
-        sim_time first, last;
-        std::uint32_t size;
-    };
-    const std::vector<churn_batch_span>& churn_batches() const {
-        return churn_batch_spans_;
+    /// Arrival-time span of every speculated churn batch.
+    const std::vector<batch_span>& churn_batches() const {
+        return window_batch_.spans();
     }
 
-    /// Victim-due-time span of one speculated HA recovery batch (first =
-    /// the drain that opened the batch, last = the due time of the last
-    /// victim group it covered — diagnostics: lets tests prove a batch
-    /// straddled a second crash event).
-    const std::vector<churn_batch_span>& recovery_batches() const {
-        return recovery_batch_spans_;
+    /// Span of every speculated HA recovery batch: first = the drain that
+    /// opened it, last = the due time of the last victim group it covered.
+    const std::vector<batch_span>& recovery_batches() const {
+        return recovery_batch_.spans();
     }
 
     /// True once setup() ran (or the engine was restored from a snapshot).
     bool is_setup() const { return setup_done_; }
 
-    // --- post-restore fork mutators (sci::snapshot ablation arms) --------
-    // Both flip pure *policy* knobs after a snapshot restore: the event
-    // stream (pass cadence, sequence numbers) is untouched, so forked
-    // arms stay event-for-event comparable with the base run.
-
-    /// Toggle automatic DRS balancing on every cluster.  The balancing
-    /// events keep firing either way (plan_rebalance checks the flag), so
-    /// flipping it never changes the event/sequence stream.
+    /// Toggle automatic DRS balancing on every cluster (a post-restore
+    /// fork mutator).  The balancing events keep firing either way
+    /// (plan_rebalance checks the flag), so flipping it never changes the
+    /// event/sequence stream and forked arms stay event-for-event
+    /// comparable with the base run.
     void set_drs_enabled(bool enabled);
-
-    /// Rewrite the general-purpose vCPU:pCPU allocation ratio in place:
-    /// provider inventories, cluster admission ratios, and the config
-    /// field the report echoes.  The scheduler's cached host view is
-    /// invalidated so the next decision sees the new capacity.
-    void set_gp_cpu_allocation_ratio(double ratio);
 
 private:
     friend struct snapshot::engine_access;
@@ -398,7 +263,11 @@ private:
     void place_initial_population();
     void schedule_window_events();
     void drain_arrivals(sim_time t);
-    void speculate_arrival_batch(sim_time t);
+
+    // --- speculation batches (see core/speculation_batch.hpp) --------------
+    schedule_request request_for(vm_id vm) const;
+    speculation_batch::source batch_source();
+    speculation_batch::stamp batch_stamp() const;
 
     /// quiet_fail: on admission failure leave the VM's state untouched and
     /// record no schedule_fail event or failure counter — the caller (the
@@ -441,11 +310,6 @@ private:
     /// Drain exactly one due victim group through the speculate/commit
     /// pipeline; failed victims re-enter as one retry group at t+backoff.
     void drain_ha_restarts(sim_time t);
-    /// Open a recovery speculation batch over the pending victim queue,
-    /// starting at victims[from] of the group being drained.
-    void speculate_recovery_batch(sim_time t,
-                                  const std::vector<vm_id>& victims,
-                                  std::size_t from);
     /// Draw the next migration-abort decision (false when aborts are off).
     bool migration_aborted();
     /// Speculate destination nodes for planned cross-BB moves [from, n).
@@ -584,23 +448,8 @@ private:
     std::vector<node_snapshot> node_snap_buf_;  ///< per scrape_nodes_ entry
     std::vector<char> node_avail_buf_;          ///< per scrape_nodes_ entry
 
-    // --- speculative initial placement ------------------------------------
-    // The creation-ordered plan is consumed in fixed-size batches: workers
-    // run filter + raw-weigh for every VM of a batch against an immutable
-    // snapshot of the conductor's host view (filter_scheduler::speculate),
-    // then a serial commit pass walks the batch in creation order and
-    // commits each speculation exactly (commit_speculation revalidates
-    // only providers claimed since the snapshot).  Placements are
-    // byte-identical to the old serial loop at any worker count.
+    /// VMs per speculation batch (initial, churn and recovery alike).
     static constexpr std::size_t placement_batch_size = 256;
-    std::vector<host_speculation> spec_slots_;     ///< per VM in batch
-    std::vector<schedule_request> spec_requests_;  ///< per VM in batch
-    std::vector<host_state> spec_snapshot_;        ///< immutable per batch
-    /// Conductor claim counters at the batch snapshot (initial + churn
-    /// batches — never open at the same time, so they share the buffer;
-    /// the HA pipeline has its own, since an HA drain can fire while a
-    /// churn batch is still open).
-    std::vector<std::uint64_t> spec_claim_counts_;
 
     // --- batched churn-arrival placement ----------------------------------
     // In-window arrivals are pre-sorted by creation time and drained by
@@ -610,12 +459,8 @@ private:
     // heap carries O(1) arrival entries instead of one per arrival.  Each
     // drain extends the same speculate/commit pipeline into the event
     // loop: the arrivals of the current scrape interval (capped at
-    // placement_batch_size) speculate against an immutable snapshot on
-    // the pool, then commit serially in event-time order.  A shrink
-    // (deletion / evacuation / crash / resize / cross-BB move) or a
-    // contention-feed move breaks the monotone-usage precondition of
-    // commit_speculation, so the uncommitted tail is dropped and
-    // re-speculated on the spot against the live view.
+    // placement_batch_size) form one speculation_batch, committed serially
+    // in event-time order; a stale batch's tail re-speculates on the spot.
     struct churn_arrival {
         vm_id vm;
         sim_time created_at;
@@ -624,12 +469,12 @@ private:
     std::vector<churn_arrival> arrivals_;    ///< stable-sorted by created_at
     std::size_t arrival_cursor_ = 0;         ///< next arrival to commit
     std::uint64_t arrival_drain_seq_ = 0;    ///< pinned heap sequence slot
-    bool window_spec_active_ = false;        ///< a batch awaits commit
-    std::size_t spec_begin_ = 0;             ///< batch range in arrivals_
-    std::size_t spec_end_ = 0;
-    std::uint64_t spec_shrink_version_ = 0;  ///< shrink counter at snapshot
-    std::uint64_t spec_scrapes_ = 0;         ///< scrape count at snapshot
-    std::vector<churn_batch_span> churn_batch_spans_;
+    speculation_batch window_batch_{{
+        .batches = &run_stats::window_batches,
+        .speculations = &run_stats::window_speculations,
+        .placements = &run_stats::window_speculative_placements,
+        .misses = &run_stats::window_speculation_misses,
+        .invalidated = &run_stats::window_speculation_invalidated}};
 
     // --- parallel DRS fan-out ---------------------------------------------
     // Clusters rebalance independently (each touches only its own nodes;
@@ -656,15 +501,12 @@ private:
         std::vector<vm_id> victims;  ///< event-time (= vm id) order
     };
     std::deque<ha_group> ha_groups_;  ///< sorted by due, FIFO within ties
-    bool ha_spec_active_ = false;
-    std::vector<vm_id> ha_spec_vms_;  ///< speculated victims, queue order
-    std::size_t ha_spec_cursor_ = 0;  ///< next slot to consume
-    std::uint64_t ha_spec_shrink_version_ = 0;
-    std::uint64_t ha_spec_scrapes_ = 0;
-    std::vector<host_speculation> ha_spec_slots_;
-    std::vector<schedule_request> ha_spec_requests_;
-    std::vector<std::uint64_t> ha_spec_claim_counts_;
-    std::vector<churn_batch_span> recovery_batch_spans_;
+    speculation_batch recovery_batch_{{
+        .batches = &run_stats::recovery_batches,
+        .speculations = &run_stats::recovery_speculations,
+        .placements = &run_stats::recovery_speculative_placements,
+        .misses = &run_stats::recovery_speculation_misses,
+        .invalidated = &run_stats::recovery_speculation_invalidated}};
 
     // --- batched cross-BB target speculation --------------------------------
     // Destination nodes of a planned pass, each stamped with the target

@@ -152,12 +152,6 @@ public:
     /// else reads the flag, so the event stream is untouched.
     void set_enabled(bool enabled) { config_.enabled = enabled; }
 
-    /// Rewrite the admission ratios post-restore (overcommit fork arm).
-    void set_allocation_ratios(double cpu, double ram) {
-        config_.cpu_allocation_ratio = cpu;
-        config_.ram_allocation_ratio = ram;
-    }
-
     /// Overwrite the lifetime counters with checkpointed values.  The
     /// per-pass abort dedup window is cleared — a snapshot barrier never
     /// falls inside a pass.

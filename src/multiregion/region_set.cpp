@@ -31,50 +31,13 @@ std::vector<region_spec> make_region_specs(const engine_config& base,
 run_stats merge_run_stats(std::span<const run_stats> per_region) {
     run_stats m;
     for (const run_stats& s : per_region) {
-        m.placements += s.placements;
-        m.placement_failures += s.placement_failures;
-        m.scheduler_retries += s.scheduler_retries;
-        m.drs_migrations += s.drs_migrations;
-        m.evacuations += s.evacuations;
-        m.forced_fits += s.forced_fits;
-        m.holistic_claim_rejections += s.holistic_claim_rejections;
-        m.deletions += s.deletions;
-        m.scrapes += s.scrapes;
-        m.cross_bb_moves += s.cross_bb_moves;
-        m.resizes += s.resizes;
-        m.resize_failures += s.resize_failures;
-        m.migration_seconds += s.migration_seconds;
-        if (s.max_migration_downtime_ms > m.max_migration_downtime_ms) {
-            m.max_migration_downtime_ms = s.max_migration_downtime_ms;
-        }
-        m.speculative_placements += s.speculative_placements;
-        m.speculation_misses += s.speculation_misses;
-        m.initial_placement_wall_ms += s.initial_placement_wall_ms;
-        m.window_batches += s.window_batches;
-        m.window_speculations += s.window_speculations;
-        m.window_speculative_placements += s.window_speculative_placements;
-        m.window_speculation_misses += s.window_speculation_misses;
-        m.window_speculation_invalidated += s.window_speculation_invalidated;
-        m.churn_placement_wall_ms += s.churn_placement_wall_ms;
-        m.recovery_batches += s.recovery_batches;
-        m.recovery_speculations += s.recovery_speculations;
-        m.recovery_speculative_placements += s.recovery_speculative_placements;
-        m.recovery_speculation_misses += s.recovery_speculation_misses;
-        m.recovery_speculation_invalidated +=
-            s.recovery_speculation_invalidated;
-        m.recovery_speculation_cancelled += s.recovery_speculation_cancelled;
-        m.recovery_placement_wall_ms += s.recovery_placement_wall_ms;
-        m.rebalance_target_speculations += s.rebalance_target_speculations;
-        m.rebalance_targets_used += s.rebalance_targets_used;
-        m.rebalance_target_invalidated += s.rebalance_target_invalidated;
-        m.az_outages += s.az_outages;
-        m.host_crashes += s.host_crashes;
-        m.crash_victims += s.crash_victims;
-        m.ha_restarts += s.ha_restarts;
-        m.ha_restart_failures += s.ha_restart_failures;
-        m.migration_aborts += s.migration_aborts;
-        m.maintenance_evacuations += s.maintenance_evacuations;
-        m.wasted_migration_seconds += s.wasted_migration_seconds;
+        run_stats::for_each_field([&](const char*, auto field, auto kind) {
+            if (kind == run_stats::field_kind::high_water) {
+                m.*field = std::max(m.*field, s.*field);
+            } else {
+                m.*field += s.*field;
+            }
+        });
     }
     return m;
 }

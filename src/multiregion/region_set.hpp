@@ -57,8 +57,9 @@ struct region_spec {
 std::vector<region_spec> make_region_specs(const engine_config& base,
                                            std::size_t regions);
 
-/// Sum of per-region run stats.  Counters and duration totals add;
-/// max_migration_downtime_ms — a fleet-wide worst case — merges by max.
+/// Sum of per-region run stats over run_stats::for_each_field: counters
+/// and duration totals add; high-water fields (worst migration downtime,
+/// peak backpressure queue) merge by max.
 run_stats merge_run_stats(std::span<const run_stats> per_region);
 
 struct region_export_report {

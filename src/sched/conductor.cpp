@@ -124,12 +124,6 @@ void conductor::restore_claim_counts(const std::vector<std::uint64_t>& counts) {
     claim_counts_ = counts;
 }
 
-void conductor::invalidate_host_view() {
-    states_.clear();
-    usage_refs_.clear();
-    states_version_ = 0;
-}
-
 void conductor::mark_claimed(bb_id bb) {
     if (claim_counts_.empty()) return;  // no host view built yet
     ++claim_counts_[provider_pos_[static_cast<std::size_t>(bb.value())]];

@@ -131,11 +131,6 @@ public:
     /// counter vector is sized.
     void restore_claim_counts(const std::vector<std::uint64_t>& counts);
 
-    /// Drop the cached host view so the next request rebuilds it from the
-    /// live inventories (a fork policy knob changed provider capacity).
-    /// Claim counters survive — the rebuild resizes without clearing.
-    void invalidate_host_view();
-
 private:
     void refresh_host_states();
     void mark_claimed(bb_id bb);

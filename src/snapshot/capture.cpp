@@ -119,21 +119,7 @@ engine_state engine_access::capture(sim_engine& e) {
     // churn-arrival pipeline (arrivals_ itself is pure-from-config)
     s.arrival_cursor = e.arrival_cursor_;
     s.arrival_drain_seq = e.arrival_drain_seq_;
-    s.window_spec_active = e.window_spec_active_;
-    s.spec_begin = e.spec_begin_;
-    s.spec_end = e.spec_end_;
-    s.spec_shrink_version = e.spec_shrink_version_;
-    s.spec_scrapes = e.spec_scrapes_;
-    if (e.window_spec_active_) {
-        // the live vector is resize-up-only scratch; only the open batch's
-        // slots are state
-        const std::size_t batch = e.spec_end_ - e.spec_begin_;
-        s.spec_slots.assign(e.spec_slots_.begin(),
-                            e.spec_slots_.begin() +
-                                static_cast<std::ptrdiff_t>(batch));
-        s.spec_claim_counts = e.spec_claim_counts_;
-    }
-    s.churn_batch_spans = e.churn_batch_spans_;
+    s.window_batch = e.window_batch_.capture();
 
     // backpressure (bp_drain_wanted_/bp_draining_ are transient and never
     // set at an event-time barrier, so only the durable pieces travel)
@@ -161,19 +147,7 @@ engine_state engine_access::capture(sim_engine& e) {
     for (const sim_engine::ha_group& g : e.ha_groups_) {
         s.ha_groups.push_back({g.due, g.victims});
     }
-    s.ha_spec_active = e.ha_spec_active_;
-    s.ha_spec_vms = e.ha_spec_vms_;
-    s.ha_spec_cursor = e.ha_spec_cursor_;
-    s.ha_spec_shrink_version = e.ha_spec_shrink_version_;
-    s.ha_spec_scrapes = e.ha_spec_scrapes_;
-    if (e.ha_spec_active_) {
-        s.ha_spec_slots.assign(e.ha_spec_slots_.begin(),
-                               e.ha_spec_slots_.begin() +
-                                   static_cast<std::ptrdiff_t>(
-                                       e.ha_spec_vms_.size()));
-        s.ha_spec_claim_counts = e.ha_spec_claim_counts_;
-    }
-    s.recovery_batch_spans = e.recovery_batch_spans_;
+    s.recovery_batch = e.recovery_batch_.capture();
 
     // fault layer
     s.node_down = e.node_down_;
@@ -318,20 +292,13 @@ void engine_access::restore_into(sim_engine& e, const engine_state& s) {
     for (const lifecycle_event& ev : s.events) e.events_.record(ev);
     e.stats_ = s.stats;
 
-    // (10) Open churn batch (if one straddles the barrier, the next
-    // drain_arrivals commits straight out of these slots — or drops the
-    // tail on a version mismatch, exactly like the uninterrupted run).
-    e.window_spec_active_ = s.window_spec_active;
-    e.spec_begin_ = static_cast<std::size_t>(s.spec_begin);
-    e.spec_end_ = static_cast<std::size_t>(s.spec_end);
-    e.spec_shrink_version_ = s.spec_shrink_version;
-    e.spec_scrapes_ = s.spec_scrapes;
-    e.spec_slots_ = s.spec_slots;
-    // the engine's grow-only guard keys on spec_slots_.size() and sizes
-    // the request scratch with it — keep them sized together
-    e.spec_requests_.resize(e.spec_slots_.size());
-    e.spec_claim_counts_ = s.spec_claim_counts;
-    e.churn_batch_spans_ = s.churn_batch_spans;
+    // (10) Open speculation batches (if one straddles the barrier, the
+    // next drain commits straight out of its slots — or drops the tail on
+    // a stale stamp, exactly like the uninterrupted run).  restore()
+    // validates every slot index against the rebuilt host view.
+    const std::size_t host_count = e.conductor_->host_states().size();
+    e.window_batch_.restore(s.window_batch, host_count);
+    e.recovery_batch_.restore(s.recovery_batch, host_count);
 
     // (10b) Backpressure controller + queued requests.  Rebuilt by hand
     // (restore never runs setup_backpressure), including the placement
@@ -353,7 +320,7 @@ void engine_access::restore_into(sim_engine& e, const engine_state& s) {
     e.bp_drain_seq_ = s.bp_drain_seq;
     e.bp_drain_armed_ = s.bp_drain_armed;
 
-    // (11) HA controller + queued victim groups + open recovery batch.
+    // (11) HA controller + queued victim groups.
     const fault_config& fc = e.config_.fault;
     if (s.has_ha) {
         expects(fc.enabled(),
@@ -369,16 +336,6 @@ void engine_access::restore_into(sim_engine& e, const engine_state& s) {
     for (const ha_group_state& g : s.ha_groups) {
         e.ha_groups_.push_back({g.due, g.victims});
     }
-    e.ha_spec_active_ = s.ha_spec_active;
-    e.ha_spec_vms_ = s.ha_spec_vms;
-    e.ha_spec_cursor_ = static_cast<std::size_t>(s.ha_spec_cursor);
-    e.ha_spec_shrink_version_ = s.ha_spec_shrink_version;
-    e.ha_spec_scrapes_ = s.ha_spec_scrapes;
-    e.ha_spec_slots_ = s.ha_spec_slots;
-    // same sized-together invariant as the churn batch above
-    e.ha_spec_requests_.resize(e.ha_spec_slots_.size());
-    e.ha_spec_claim_counts_ = s.ha_spec_claim_counts;
-    e.recovery_batch_spans_ = s.recovery_batch_spans;
 
     // (12) Fault arrays + serial RNG stream positions (re-seed the same
     // named streams, then fast-forward to the captured engine position).

@@ -25,8 +25,8 @@
 // share ONE state behind a shared_ptr and each restore() builds only its
 // private overlay (fleet + registries + overlaid mutable state) — far
 // cheaper than re-running setup(), whose initial placement dominates.
-// Post-restore policy mutators (sim_engine::set_drs_enabled,
-// set_gp_cpu_allocation_ratio) turn a fork into an ablation arm.
+// A post-restore policy mutator (sim_engine::set_drs_enabled) turns a
+// fork into an ablation arm.
 
 #include <cstdint>
 #include <memory>
@@ -50,12 +50,12 @@ class region_set;  // sci::multiregion (capture/restore compose per region)
 
 namespace snapshot {
 
-/// Serialized-format version.  deserialize() accepts exactly the versions
-/// it knows how to read; a snapshot from a future build fails with a
-/// precise error instead of misinterpreting bytes.
-inline constexpr std::uint32_t format_version = 2;
+/// Serialized-format version.  deserialize() reads only this version:
+/// snapshots are transient artifacts, so one from an older or newer build
+/// fails with a precise error instead of misinterpreting bytes.
+inline constexpr std::uint32_t format_version = 3;
 
-/// Raised by the codec on malformed input: wrong magic, future version,
+/// Raised by the codec on malformed input: wrong magic, other version,
 /// truncation, or checksum mismatch.  Never undefined behaviour — every
 /// read is length-checked before it happens.
 class snapshot_error : public error {
@@ -153,16 +153,9 @@ struct engine_state {
     // --- churn-arrival pipeline -------------------------------------------
     std::uint64_t arrival_cursor = 0;
     std::uint64_t arrival_drain_seq = 0;
-    bool window_spec_active = false;  ///< a batch straddles the barrier
-    std::uint64_t spec_begin = 0;
-    std::uint64_t spec_end = 0;
-    std::uint64_t spec_shrink_version = 0;
-    std::uint64_t spec_scrapes = 0;
-    std::vector<host_speculation> spec_slots;  ///< open-batch slots only
-    std::vector<std::uint64_t> spec_claim_counts;
-    std::vector<sim_engine::churn_batch_span> churn_batch_spans;
+    speculation_batch::state window_batch;  ///< may straddle the barrier
 
-    // --- backpressure (format v2; v1 snapshots restore as inert) ----------
+    // --- backpressure -----------------------------------------------------
     bool has_bp = false;
     std::vector<bp_queued_request> bp_queue;  ///< front-to-back
     std::uint8_t bp_regime = 0;               ///< sci::bp_regime value
@@ -180,14 +173,7 @@ struct engine_state {
     std::uint64_t ha_cancelled = 0;
     std::uint64_t ha_failed_attempts = 0;
     std::vector<ha_group_state> ha_groups;
-    bool ha_spec_active = false;
-    std::vector<vm_id> ha_spec_vms;
-    std::uint64_t ha_spec_cursor = 0;
-    std::uint64_t ha_spec_shrink_version = 0;
-    std::uint64_t ha_spec_scrapes = 0;
-    std::vector<host_speculation> ha_spec_slots;
-    std::vector<std::uint64_t> ha_spec_claim_counts;
-    std::vector<sim_engine::churn_batch_span> recovery_batch_spans;
+    speculation_batch::state recovery_batch;  ///< may straddle the barrier
 
     // --- fault layer ------------------------------------------------------
     std::vector<char> node_down;
@@ -259,8 +245,8 @@ std::unique_ptr<region_set> restore_regions(
 std::vector<std::byte> serialize(const engine_state& state);
 
 /// Parse serialized bytes; throws snapshot_error with a precise message
-/// on bad magic, unsupported (future) version, truncation, or checksum
-/// mismatch.
+/// on bad magic, a version other than format_version, truncation, or
+/// checksum mismatch.
 engine_state deserialize(std::span<const std::byte> bytes);
 
 /// Write / read a snapshot file (the CLI's --snapshot-at / --restore).

@@ -123,6 +123,13 @@ struct purpose_case {
     bool expected;
 };
 
+// Readable, stable test names (the default is a byte dump of the struct,
+// padding included).
+void PrintTo(const purpose_case& c, std::ostream* os) {
+    *os << to_string(c.wc) << "_" << c.ram_gib << "GiB_on_"
+        << to_string(c.purpose);
+}
+
 class BbPurposeFilterTest : public testing::TestWithParam<purpose_case> {};
 
 TEST_P(BbPurposeFilterTest, RoutesFlavorsToPurposes) {

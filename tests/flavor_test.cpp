@@ -41,6 +41,10 @@ struct ram_case {
     ram_class expected;
 };
 
+// Readable, stable test names (the default is a byte dump of the struct,
+// padding included).
+void PrintTo(const ram_case& c, std::ostream* os) { *os << c.gib << "GiB"; }
+
 class RamClassTest : public testing::TestWithParam<ram_case> {};
 
 TEST_P(RamClassTest, Classifies) {

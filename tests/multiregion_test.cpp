@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -127,6 +129,50 @@ TEST(MultiRegionTest, MergedStatsEqualSumOfSoloRuns) {
     EXPECT_EQ(merged.scrapes, expected.scrapes);
     EXPECT_EQ(merged.max_migration_downtime_ms,
               expected.max_migration_downtime_ms);
+}
+
+TEST(MultiRegionTest, MergedBackpressureCountersSumAcrossRegions) {
+    // retry-storm pressure (no overcommit, heavy churn, one-shot HA) under
+    // queue-mode backpressure, so every region queues and sheds
+    engine_config config = base_config();
+    config.gp_cpu_allocation_ratio_override = 1.0;
+    config.population.daily_churn_fraction = 0.08;
+    config.fault.host_crash_rate_per_day = 0.25;
+    config.fault.ha_max_restart_attempts = 1;
+    config.backpressure.mode = backpressure_mode::queue;
+    config.backpressure.queue_capacity = 64;
+    config.backpressure.queue_deadline = 7200;
+    region_set set(make_region_specs(config, 2), std::optional<unsigned>(0));
+    set.setup();
+    set.run_until(days(4));
+
+    run_stats expected;
+    std::size_t queuing_regions = 0;
+    for (std::size_t r = 0; r < set.region_count(); ++r) {
+        const run_stats& s = set.region(r).stats();
+        if (s.bp_enqueued > 0) ++queuing_regions;
+        expected.bp_enqueued += s.bp_enqueued;
+        expected.bp_queue_placed += s.bp_queue_placed;
+        expected.bp_shed_deadline += s.bp_shed_deadline;
+        expected.bp_shed_queue_full += s.bp_shed_queue_full;
+        expected.bp_shed_evicted += s.bp_shed_evicted;
+        expected.bp_cancelled += s.bp_cancelled;
+        expected.bp_regime_transitions += s.bp_regime_transitions;
+        expected.ha_give_ups += s.ha_give_ups;
+        expected.bp_peak_queue_len =
+            std::max(expected.bp_peak_queue_len, s.bp_peak_queue_len);
+    }
+    ASSERT_GE(queuing_regions, 2u) << "the backpressure queue never engaged";
+    const run_stats merged = set.merged_stats();
+    EXPECT_EQ(merged.bp_enqueued, expected.bp_enqueued);
+    EXPECT_EQ(merged.bp_queue_placed, expected.bp_queue_placed);
+    EXPECT_EQ(merged.bp_shed_deadline, expected.bp_shed_deadline);
+    EXPECT_EQ(merged.bp_shed_queue_full, expected.bp_shed_queue_full);
+    EXPECT_EQ(merged.bp_shed_evicted, expected.bp_shed_evicted);
+    EXPECT_EQ(merged.bp_cancelled, expected.bp_cancelled);
+    EXPECT_EQ(merged.bp_regime_transitions, expected.bp_regime_transitions);
+    EXPECT_EQ(merged.ha_give_ups, expected.ha_give_ups);
+    EXPECT_EQ(merged.bp_peak_queue_len, expected.bp_peak_queue_len);
 }
 
 std::string file_bytes(const std::filesystem::path& file) {

@@ -14,12 +14,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,6 +24,7 @@
 #include "core/report.hpp"
 #include "data/dataset.hpp"
 #include "sched/conductor.hpp"
+#include "determinism.hpp"
 
 namespace sci {
 namespace {
@@ -71,66 +69,6 @@ std::vector<std::unique_ptr<sim_engine>>& faulted_runs() {
     return *runs;
 }
 
-void expect_stats_equal(const run_stats& a, const run_stats& b) {
-    EXPECT_EQ(a.placements, b.placements);
-    EXPECT_EQ(a.placement_failures, b.placement_failures);
-    EXPECT_EQ(a.scheduler_retries, b.scheduler_retries);
-    EXPECT_EQ(a.drs_migrations, b.drs_migrations);
-    EXPECT_EQ(a.evacuations, b.evacuations);
-    EXPECT_EQ(a.forced_fits, b.forced_fits);
-    EXPECT_EQ(a.holistic_claim_rejections, b.holistic_claim_rejections);
-    EXPECT_EQ(a.deletions, b.deletions);
-    EXPECT_EQ(a.scrapes, b.scrapes);
-    EXPECT_EQ(a.cross_bb_moves, b.cross_bb_moves);
-    EXPECT_EQ(a.resizes, b.resizes);
-    EXPECT_EQ(a.resize_failures, b.resize_failures);
-    EXPECT_EQ(a.migration_seconds, b.migration_seconds);  // bitwise: ==
-    EXPECT_EQ(a.max_migration_downtime_ms, b.max_migration_downtime_ms);
-    EXPECT_EQ(a.speculative_placements, b.speculative_placements);
-    EXPECT_EQ(a.speculation_misses, b.speculation_misses);
-    EXPECT_EQ(a.window_batches, b.window_batches);
-    EXPECT_EQ(a.window_speculations, b.window_speculations);
-    EXPECT_EQ(a.window_speculative_placements, b.window_speculative_placements);
-    EXPECT_EQ(a.window_speculation_misses, b.window_speculation_misses);
-    EXPECT_EQ(a.window_speculation_invalidated, b.window_speculation_invalidated);
-    // churn_placement_wall_ms is host timing, deliberately not compared
-    // initial_placement_wall_ms is host timing, deliberately not compared
-    EXPECT_EQ(a.recovery_batches, b.recovery_batches);
-    EXPECT_EQ(a.recovery_speculations, b.recovery_speculations);
-    EXPECT_EQ(a.recovery_speculative_placements,
-              b.recovery_speculative_placements);
-    EXPECT_EQ(a.recovery_speculation_misses, b.recovery_speculation_misses);
-    EXPECT_EQ(a.recovery_speculation_invalidated,
-              b.recovery_speculation_invalidated);
-    EXPECT_EQ(a.recovery_speculation_cancelled,
-              b.recovery_speculation_cancelled);
-    // recovery_placement_wall_ms is host timing, deliberately not compared
-    EXPECT_EQ(a.rebalance_target_speculations, b.rebalance_target_speculations);
-    EXPECT_EQ(a.rebalance_targets_used, b.rebalance_targets_used);
-    EXPECT_EQ(a.rebalance_target_invalidated, b.rebalance_target_invalidated);
-    EXPECT_EQ(a.host_crashes, b.host_crashes);
-    EXPECT_EQ(a.crash_victims, b.crash_victims);
-    EXPECT_EQ(a.ha_restarts, b.ha_restarts);
-    EXPECT_EQ(a.ha_restart_failures, b.ha_restart_failures);
-    EXPECT_EQ(a.migration_aborts, b.migration_aborts);
-    EXPECT_EQ(a.maintenance_evacuations, b.maintenance_evacuations);
-    EXPECT_EQ(a.wasted_migration_seconds, b.wasted_migration_seconds);
-}
-
-/// The serial-reference assertion: thread-pool runs compared VM-by-VM
-/// against the SCI_THREADS=0 run.
-void expect_placements_equal(const sim_engine& serial, const sim_engine& pool) {
-    const auto a = serial.vms().all();
-    const auto b = pool.vms().all();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i].state, b[i].state) << "vm " << i;
-        ASSERT_EQ(a[i].placed_bb, b[i].placed_bb) << "vm " << i;
-        ASSERT_EQ(a[i].placed_node, b[i].placed_node) << "vm " << i;
-        ASSERT_EQ(a[i].migration_count, b[i].migration_count) << "vm " << i;
-    }
-}
-
 TEST(ParallelPlacementTest, VmPlacementsMatchSerialReference) {
     for (std::size_t i = 1; i < default_runs().size(); ++i) {
         expect_placements_equal(*default_runs()[0], *default_runs()[i]);
@@ -159,19 +97,6 @@ TEST(ParallelPlacementTest, SpeculationCommitsTheInitialPopulation) {
               stats.speculative_placements);
 }
 
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= bytes[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-std::uint64_t hash_string(const std::string& s) {
-    return fnv1a(1469598103934665603ull, s.data(), s.size());
-}
-
 TEST(ParallelPlacementTest, ReportHashesAreBitIdentical) {
     const std::uint64_t ref = hash_string(markdown_report(*default_runs()[0]));
     const std::uint64_t faulted_ref =
@@ -181,32 +106,6 @@ TEST(ParallelPlacementTest, ReportHashesAreBitIdentical) {
         EXPECT_EQ(ref, hash_string(markdown_report(*default_runs()[i])));
         EXPECT_EQ(faulted_ref, hash_string(markdown_report(*faulted_runs()[i])));
     }
-}
-
-/// Export dataset + events CSV and hash every produced file, in sorted
-/// filename order, content and name both.
-std::uint64_t hash_dataset_export(const sim_engine& engine,
-                                  const std::filesystem::path& dir) {
-    std::filesystem::remove_all(dir);
-    export_dataset(engine.store(), dir);
-    export_events_csv(engine.events(), dir / "events.csv");
-    std::vector<std::filesystem::path> files;
-    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-        files.push_back(entry.path());
-    }
-    std::sort(files.begin(), files.end());
-    std::uint64_t h = 1469598103934665603ull;
-    for (const std::filesystem::path& file : files) {
-        const std::string name = file.filename().string();
-        h = fnv1a(h, name.data(), name.size());
-        std::ifstream in(file, std::ios::binary);
-        std::ostringstream body;
-        body << in.rdbuf();
-        const std::string s = body.str();
-        h = fnv1a(h, s.data(), s.size());
-    }
-    std::filesystem::remove_all(dir);
-    return h;
 }
 
 TEST(ParallelPlacementTest, DatasetExportsAreBitIdentical) {

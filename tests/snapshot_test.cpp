@@ -16,10 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -138,22 +140,32 @@ TEST(SnapshotTest, CapturedStateCarriesFaultMachinery) {
     EXPECT_FALSE(mid.mig_abort_rng_state.empty());
 }
 
-/// Advance a serial engine barrier by barrier until the captured state
-/// satisfies `open`, then prove restore-from-that-state is lossless.
-void snapshot_mid(const engine_config& config,
-                  bool (*open)(const snapshot::engine_state&),
-                  const char* what) {
-    sim_engine engine(config);
-    engine.setup();
-    std::optional<snapshot::engine_state> mid;
+using state_pred = bool (*)(const snapshot::engine_state&);
+
+bool churn_batch_open(const snapshot::engine_state& s) {
+    return s.window_batch.active;
+}
+
+/// Advance a set-up engine barrier by barrier (half-hourly, up to
+/// end_time) to the first captured state that satisfies `open`.
+std::optional<snapshot::engine_state> first_state_where(sim_engine& engine,
+                                                        state_pred open) {
     for (sim_time t = 1800; t < end_time; t += 1800) {
         engine.run_until(t);
         snapshot::engine_state state = snapshot::capture(engine);
-        if (open(state)) {
-            mid = std::move(state);
-            break;
-        }
+        if (open(state)) return state;
     }
+    return std::nullopt;
+}
+
+/// Find the first barrier whose state satisfies `open`, then prove
+/// restore-from-that-state is lossless.
+void snapshot_mid(const engine_config& config, state_pred open,
+                  const char* what) {
+    sim_engine engine(config);
+    engine.setup();
+    const std::optional<snapshot::engine_state> mid =
+        first_state_where(engine, open);
     ASSERT_TRUE(mid.has_value())
         << "no barrier with " << what << " found before day 10";
     engine.run_until(end_time);
@@ -172,10 +184,63 @@ void snapshot_mid(const engine_config& config,
 TEST(SnapshotTest, MidChurnBatchSnapshotRestoresExactly) {
     // the regression this pins: a snapshot taken while a churn
     // speculation batch is open must re-arm the batch exactly on restore
-    snapshot_mid(
-        base_config(0, false),
-        [](const snapshot::engine_state& s) { return s.window_spec_active; },
-        "an open churn speculation batch");
+    snapshot_mid(base_config(0, false), churn_batch_open,
+                 "an open churn speculation batch");
+}
+
+/// Expect restore(deserialize(serialize(state))) to throw a sci::error
+/// whose message contains `needle`.
+void expect_restore_error(const snapshot::engine_state& state,
+                          const std::string& needle) {
+    const snapshot::engine_state decoded =
+        snapshot::deserialize(snapshot::serialize(state));
+    try {
+        snapshot::restore(decoded);
+        FAIL() << "expected restore to fail with '" << needle << "'";
+    } catch (const error& e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << "got: " << e.what();
+    }
+}
+
+TEST(SnapshotTest, RestoreRejectsOutOfRangeSpeculationSlots) {
+    // open-batch slots come from untrusted bytes; commit_speculation
+    // indexes hosts and raws through them unchecked, so restore must
+    sim_engine engine(base_config(0, false));
+    engine.setup();
+    const std::optional<snapshot::engine_state> open =
+        first_state_where(engine, churn_batch_open);
+    ASSERT_TRUE(open.has_value());
+    ASSERT_FALSE(open->window_batch.slots.empty());
+    {
+        snapshot::engine_state bad = *open;
+        host_speculation& slot = bad.window_batch.slots.front();
+        slot.survivors.push_back(1000000);
+        slot.raws.resize(std::size_t{slot.weigher_count} *
+                         slot.survivors.size());
+        expect_restore_error(bad, "survivor index 1000000 out of range");
+    }
+    {
+        snapshot::engine_state bad = *open;
+        bad.window_batch.slots.back().raws.push_back(0.5);
+        expect_restore_error(bad, "raws size");
+    }
+}
+
+TEST(SnapshotTest, EveryRunStatsFieldRoundTrips) {
+    snapshot::engine_state state = default_runs()[0].mid;
+    std::uint64_t next = 0;
+    run_stats::for_each_field([&](const char*, auto field, auto) {
+        using value = std::remove_cvref_t<decltype(state.stats.*field)>;
+        // distinct per field; doubles carry a fraction so the full bit
+        // pattern has to travel
+        state.stats.*field = static_cast<value>(++next) + value(0.25);
+    });
+    const snapshot::engine_state decoded =
+        snapshot::deserialize(snapshot::serialize(state));
+    run_stats::for_each_field([&](const char* name, auto field, auto) {
+        EXPECT_EQ(decoded.stats.*field, state.stats.*field) << name;
+    });
 }
 
 TEST(SnapshotTest, MidHaGroupSnapshotRestoresExactly) {
@@ -290,10 +355,17 @@ TEST(SnapshotTest, CorruptedSnapshotFailsWithPreciseError) {
 }
 
 TEST(SnapshotTest, FutureVersionSnapshotFailsWithPreciseError) {
-    std::vector<std::byte> bytes = snapshot::serialize(default_runs()[0].mid);
-    // the format version is the u32 right after the u64 magic
-    bytes[8] = std::byte{0xff};
-    expect_codec_error(std::move(bytes), "unsupported format version");
+    // only the current format is read: a future and a previous version
+    // both fail up front
+    const std::vector<std::byte> good =
+        snapshot::serialize(default_runs()[0].mid);
+    for (const std::uint32_t version :
+         {snapshot::format_version + 1, snapshot::format_version - 1}) {
+        std::vector<std::byte> bytes = good;
+        // the format version is the u32 right after the u64 magic
+        std::memcpy(bytes.data() + 8, &version, sizeof version);
+        expect_codec_error(std::move(bytes), "unsupported format version");
+    }
 }
 
 TEST(SnapshotTest, ConcurrentWhatIfQueriesMatchSerialExecution) {

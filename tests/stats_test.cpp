@@ -87,6 +87,10 @@ struct p2_case {
     double tolerance;
 };
 
+// Readable, stable test names (the default byte dump includes the name
+// pointer, which moves with ASLR).
+void PrintTo(const p2_case& c, std::ostream* os) { *os << c.name; }
+
 class P2QuantileTest : public testing::TestWithParam<p2_case> {};
 
 TEST_P(P2QuantileTest, TracksExactQuantileOnUniform) {
