@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bench_json.hpp"
+#include "simcore/parse.hpp"
 
 namespace sci::benchutil {
 
@@ -64,13 +65,6 @@ void record_bench(std::string_view name, double wall_ms, double samples_per_s) {
                                           process_peak_rss_mib()});
 }
 
-int env_bench_days() {
-    const char* v = std::getenv("SCI_BENCH_DAYS");
-    if (v == nullptr) return 0;
-    const int days = std::atoi(v);
-    return days > 0 ? days : 0;
-}
-
 double ms_since(std::chrono::steady_clock::time_point begin) {
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - begin)
@@ -80,14 +74,14 @@ double ms_since(std::chrono::steady_clock::time_point begin) {
 double env_scale() {
     const char* v = std::getenv("SCI_SCALE");
     if (v == nullptr) return 0.1;
-    const double s = std::atof(v);
+    const double s = parse_number<double>(v, "SCI_SCALE");
     return s > 0.0 ? s : 0.1;
 }
 
 std::uint64_t env_seed() {
     const char* v = std::getenv("SCI_SEED");
     if (v == nullptr) return 42;
-    return static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
+    return parse_number<std::uint64_t>(v, "SCI_SEED");
 }
 
 engine_config default_config() {

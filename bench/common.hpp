@@ -9,6 +9,8 @@
 //   SCI_SCALE  linear fleet scale (default 0.1 — ~180 nodes, ~4,800 VMs;
 //              1.0 reproduces the full 1,800-node / 48,000-VM region)
 //   SCI_SEED   master seed (default 42)
+//
+// A value that is not a number stops the binary with the variable's name.
 
 #include <chrono>
 #include <string_view>
@@ -22,12 +24,6 @@ double env_scale();
 
 /// Seed from SCI_SEED (default 42).
 std::uint64_t env_seed();
-
-/// CI smoke hook: SCI_BENCH_DAYS caps the simulated window (0 / unset =
-/// the full 30 days).  Capped runs exercise the same code path but are
-/// never recorded into BENCH_engine.json — a short window would corrupt
-/// the perf trajectory future PRs diff against.
-int env_bench_days();
 
 /// Milliseconds of wall clock since `begin`.
 double ms_since(std::chrono::steady_clock::time_point begin);

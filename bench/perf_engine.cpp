@@ -21,13 +21,14 @@
 
 #include "common.hpp"
 #include "core/engine.hpp"
+#include "simcore/parse.hpp"
 
 namespace {
 
 void bm_full_window(benchmark::State& state) {
     const double scale = static_cast<double>(state.range(0)) / 1000.0;
     const auto threads = static_cast<unsigned>(state.range(1));
-    const int cap_days = sci::benchutil::env_bench_days();
+    const int cap_days = sci::bench_days_cap();
     double best_ms = std::numeric_limits<double>::infinity();
     double samples_per_s = 0.0;
     for (auto _ : state) {

@@ -24,13 +24,14 @@
 
 #include "common.hpp"
 #include "multiregion/region_set.hpp"
+#include "simcore/parse.hpp"
 
 namespace {
 
 void bm_region_grid(benchmark::State& state) {
     const auto regions = static_cast<std::size_t>(state.range(0));
     const auto threads = static_cast<unsigned>(state.range(1));
-    const int cap_days = sci::benchutil::env_bench_days();
+    const int cap_days = sci::bench_days_cap();
     double best_ms = std::numeric_limits<double>::infinity();
     double samples_per_s = 0.0;
     for (auto _ : state) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "simcore/parse.hpp"
 #include "simcore/thread_pool.hpp"
 #include "snapshot/snapshot.hpp"
 #include "snapshot/whatif.hpp"
@@ -30,7 +31,7 @@ int main() {
 
     engine_config config = benchutil::default_config();
     config.scenario.scale = 0.25;  // the ablation acceptance point
-    const int cap_days = benchutil::env_bench_days();
+    const int cap_days = sci::bench_days_cap();
     const int window_days = cap_days > 0 ? cap_days : 30;
     const sim_time window_end = days(window_days);
     // fork point at 95% of the window: the what-if is "from here, what

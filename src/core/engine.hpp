@@ -18,6 +18,7 @@
 // commission/decommission nodes (the heatmaps' white cells).
 
 #include <array>
+#include <concepts>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -25,6 +26,7 @@
 #include <span>
 #include <vector>
 
+#include "core/field_list.hpp"
 #include "core/run_stats.hpp"
 #include "core/scenario.hpp"
 #include "core/speculation_batch.hpp"
@@ -130,7 +132,103 @@ struct engine_config {
     /// (`degrade`, zero capacity/deadline) is fully inert: no controller is
     /// built, no events fire, and runs reproduce byte-for-byte.
     backpressure_config backpressure;
+
+    /// The one list of every field, nested configs included:
+    /// fn(config_key, field) with `field` a reference into `c`.  Within a
+    /// DSL section the order is the rendered order; snapshots encode the
+    /// fields in list order.  A new field is added here and nowhere else.
+    /// Deliberately codec only: `threads` (a runtime concern — output is
+    /// bit-identical at any worker count), `initial_population` (derived
+    /// from scale), and the fleet, DRS, cross-BB, migration-cost and store
+    /// tuning that no scenario varies.
+    template <typename Self, typename Fn>
+        requires std::same_as<std::remove_const_t<Self>, engine_config>
+    static constexpr void for_each_field(Self& c, Fn&& fn) {
+        using k = config_key;
+        constexpr std::string_view engine = "engine";
+        constexpr std::string_view fault = "fault";
+        constexpr std::string_view bp = "backpressure";
+        constexpr bool region = true;  // per_region
+        constexpr bool mirror = true;
+        const k codec{};
+
+        fn(k{engine, "scale", region}, c.scenario.scale);
+        // one seed drives the whole run: fleet construction, population
+        // sampling, and the fault schedule
+        fn(k{engine, "seed", region}, c.scenario.seed);
+        fn(k{engine, "seed", region, mirror}, c.population.seed);
+        fn(k{engine, "sampling_interval"}, c.sampling_interval);
+        fn(k{engine, "drs_interval"}, c.drs_interval);
+        fn(k{engine, "cross_bb_interval"}, c.cross_bb_interval);
+        fn(k{engine, "contention_aware"}, c.contention_aware);
+        fn(k{engine, "holistic"}, c.holistic);
+        fn(k{engine, "lifetime_aware"}, c.lifetime_aware);
+        fn(k{engine, "node_churn_fraction"}, c.node_churn_fraction);
+        fn(k{engine, "daily_resize_fraction"}, c.daily_resize_fraction);
+        fn(k{engine, "daily_churn_fraction", region},
+           c.population.daily_churn_fraction);
+        fn(k{engine, "project_count"}, c.population.project_count);
+        fn(k{engine, "gp_cpu_allocation_ratio"},
+           c.gp_cpu_allocation_ratio_override);
+
+        fn(k{fault, "crash_rate_per_day", region},
+           c.fault.host_crash_rate_per_day);
+        fn(k{fault, "claim_failure_probability"},
+           c.fault.claim_failure_probability);
+        fn(k{fault, "migration_abort_probability", region},
+           c.fault.migration_abort_probability);
+        fn(k{fault, "degraded_node_fraction"}, c.fault.degraded_node_fraction);
+        fn(k{fault, "degraded_cpu_factor"}, c.fault.degraded_cpu_factor);
+        fn(k{fault, "maintenance_windows"}, c.fault.maintenance_windows);
+        fn(k{fault, "maintenance_duration"}, c.fault.maintenance_duration);
+        fn(k{fault, "az_outages", region}, c.fault.az_outages);
+        fn(k{fault, "az_outage_at", region}, c.fault.az_outage_at);
+        fn(k{fault, "az_outage_repair_time", region},
+           c.fault.az_outage_repair_time);
+        fn(k{fault, "ha_restart_delay"}, c.fault.ha_restart_delay);
+        fn(k{fault, "ha_retry_backoff"}, c.fault.ha_retry_backoff);
+        fn(k{fault, "ha_max_restart_attempts"}, c.fault.ha_max_restart_attempts);
+        fn(k{fault, "crash_repair_time"}, c.fault.crash_repair_time);
+
+        fn(k{bp, "mode"}, c.backpressure.mode);
+        fn(k{bp, "queue_capacity"}, c.backpressure.queue_capacity);
+        fn(k{bp, "queue_deadline"}, c.backpressure.queue_deadline);
+
+        fn(codec, c.scenario.hana_node_fraction);
+        fn(codec, c.scenario.dedicated_xl_node_fraction);
+        fn(codec, c.scenario.reserve_node_fraction);
+        fn(codec, c.drs.imbalance_threshold);
+        fn(codec, c.drs.max_migrations_per_pass);
+        fn(codec, c.drs.heavy_vm_ram_mib);
+        fn(codec, c.drs.min_gain);
+        fn(codec, c.drs.cpu_allocation_ratio);
+        fn(codec, c.drs.ram_allocation_ratio);
+        fn(codec, c.drs.enabled);
+        fn(codec, c.drs.pack_memory);
+        fn(codec, c.store.days);
+        fn(codec, c.store.keep_raw);
+        fn(codec, c.population.initial_population);
+        fn(codec, c.contention_filter_threshold_pct);
+        fn(codec, c.cross_bb.target_ram_spread);
+        fn(codec, c.cross_bb.max_moves_per_pass);
+        fn(codec, c.cross_bb.heavy_vm_ram_mib);
+        fn(codec, c.cross_bb.max_downtime_ms);
+        fn(codec, c.cross_bb.cost.bandwidth_mib_per_s);
+        fn(codec, c.cross_bb.cost.stop_and_copy_mib);
+        fn(codec, c.cross_bb.cost.max_precopy_rounds);
+        fn(codec, c.migration_cost.bandwidth_mib_per_s);
+        fn(codec, c.migration_cost.stop_and_copy_mib);
+        fn(codec, c.migration_cost.max_precopy_rounds);
+        fn(codec, c.threads);
+    }
 };
+
+// A field added to engine_config (or a config nested in it) without a list
+// entry fails here instead of silently running default physics or
+// dropping out of snapshots.
+static_assert(leaf_count<engine_config>() ==
+                  listed_field_count<engine_config>(),
+              "engine_config::for_each_field must list every field");
 
 /// Optional in-run observation hooks for the invariants harness
 /// (sci::harness).  Both unset by default — the engine then behaves

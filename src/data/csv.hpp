@@ -4,10 +4,14 @@
 // "anonymized telemetry data in CSV format", Appendix B).
 
 #include <iosfwd>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
+
+#include "simcore/parse.hpp"
 
 namespace sci {
 
@@ -34,15 +38,26 @@ private:
 
 class csv_reader {
 public:
-    explicit csv_reader(std::istream& is) : is_(is) {}
+    /// `source` names the input in errors (e.g. "reader_fn: file").
+    explicit csv_reader(std::istream& is, std::string source = {})
+        : is_(is), source_(std::move(source)) {}
 
     /// Read the next row; false at end of input.  Skips blank lines.
     bool next_row(std::vector<std::string>& fields);
 
     std::size_t rows_read() const { return rows_; }
 
+    /// A cell of the row last read as a T; a malformed number throws
+    /// sci::error naming the source and the row.
+    template <typename T>
+    T number(const std::string& cell) const {
+        if (const std::optional<T> value = to_number<T>(cell)) return *value;
+        return parse_number<T>(cell, source_ + " row " + std::to_string(rows_));
+    }
+
 private:
     std::istream& is_;
+    std::string source_;
     std::size_t rows_ = 0;
 };
 

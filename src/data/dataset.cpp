@@ -1,5 +1,7 @@
 #include "data/dataset.hpp"
 
+#include <algorithm>
+#include <array>
 #include <fstream>
 #include <set>
 
@@ -8,6 +10,13 @@
 #include "simcore/error.hpp"
 
 namespace sci {
+
+namespace {
+
+const std::array<std::string, 7> events_csv_header{
+    "t", "kind", "vm", "bb", "from_node", "to_node", "reason"};
+
+}  // namespace
 
 namespace detail {
 
@@ -118,9 +127,12 @@ dataset_export_report export_dataset(const metric_store& store,
 }
 
 std::vector<manifest_entry> read_manifest(const std::filesystem::path& dir) {
-    std::ifstream f(dir / "manifest.csv");
-    if (!f.good()) throw not_found_error("read_manifest: manifest.csv missing");
-    csv_reader reader(f);
+    const std::filesystem::path file = dir / "manifest.csv";
+    std::ifstream f(file);
+    if (!f.good()) {
+        throw not_found_error("read_manifest: missing " + file.string());
+    }
+    csv_reader reader(f, "read_manifest: " + file.string());
     std::vector<std::string> fields;
     expects(reader.next_row(fields) && fields.size() >= 6,
             "read_manifest: malformed header");
@@ -132,7 +144,8 @@ std::vector<manifest_entry> read_manifest(const std::filesystem::path& dir) {
         e.subsystem = fields[1];
         e.resource = fields[2];
         e.unit = fields[3];
-        e.series_count = static_cast<std::size_t>(std::stoull(fields[5]));
+        e.description = fields[4];
+        e.series_count = reader.number<std::size_t>(fields[5]);
         out.push_back(std::move(e));
     }
     return out;
@@ -148,7 +161,7 @@ metric_store import_dataset(const std::filesystem::path& dir) {
             throw not_found_error("import_dataset: missing " +
                                   daily_file.string());
         }
-        csv_reader reader(f);
+        csv_reader reader(f, "import_dataset: " + daily_file.string());
         std::vector<std::string> header;
         expects(reader.next_row(header) && header.size() >= 5,
                 "import_dataset: malformed daily header");
@@ -163,15 +176,13 @@ metric_store import_dataset(const std::filesystem::path& dir) {
                 if (!fields[i].empty()) labels.set(header[i], fields[i]);
             }
             const series_id id = store.open_series(entry.metric, std::move(labels));
-            const int day = std::stoi(fields[label_count]);
-            const auto count = static_cast<std::uint64_t>(
-                std::stoull(fields[label_count + 1]));
+            const std::string* const day = &fields[label_count];
             store.merge_daily(
-                id, day,
-                running_stats::from_moments(count,
-                                            std::stod(fields[label_count + 2]),
-                                            std::stod(fields[label_count + 3]),
-                                            std::stod(fields[label_count + 4])));
+                id, reader.number<int>(day[0]),
+                running_stats::from_moments(reader.number<std::uint64_t>(day[1]),
+                                            reader.number<double>(day[2]),
+                                            reader.number<double>(day[3]),
+                                            reader.number<double>(day[4])));
         }
     }
     return store;
@@ -182,7 +193,7 @@ std::size_t export_events_csv(const event_log& events,
     std::ofstream f(file);
     expects(f.good(), "export_events_csv: cannot create file");
     csv_writer w(f);
-    w.write_row({"t", "kind", "vm", "bb", "from_node", "to_node", "reason"});
+    w.write_row(events_csv_header);
     for (const lifecycle_event& e : events.all()) {
         w.write_row({std::to_string(e.t), std::string(to_string(e.kind)),
                      std::to_string(e.vm.value()), std::to_string(e.bb.value()),
@@ -197,13 +208,14 @@ std::vector<lifecycle_event> import_events_csv(
     const std::filesystem::path& file) {
     std::ifstream f(file);
     if (!f.good()) throw not_found_error("import_events_csv: file missing");
-    csv_reader reader(f);
+    csv_reader reader(f, "import_events_csv: " + file.string());
     std::vector<std::string> fields;
-    // width 6 = pre-reason exports; width 7 carries the schedule_fail reason
-    expects(reader.next_row(fields) &&
-                (fields.size() == 6 || fields.size() == 7),
-            "import_events_csv: malformed header");
-    const std::size_t width = fields.size();
+    if (!reader.next_row(fields) ||
+        !std::ranges::equal(fields, events_csv_header)) {
+        throw error("import_events_csv: " + file.string() +
+                    ": expected the header t,kind,vm,bb,from_node,to_node,"
+                    "reason");
+    }
     std::vector<lifecycle_event> out;
     const auto kind_of = [](const std::string& s) {
         for (auto k : {lifecycle_event_kind::create,
@@ -220,22 +232,21 @@ std::vector<lifecycle_event> import_events_csv(
         throw error("import_events_csv: unknown event kind '" + s + "'");
     };
     while (reader.next_row(fields)) {
-        expects(fields.size() == width, "import_events_csv: malformed row");
+        expects(fields.size() == events_csv_header.size(),
+                "import_events_csv: malformed row");
         lifecycle_event e;
-        e.t = static_cast<sim_time>(std::stoll(fields[0]));
+        e.t = reader.number<sim_time>(fields[0]);
         e.kind = kind_of(fields[1]);
-        e.vm = vm_id(static_cast<std::int32_t>(std::stol(fields[2])));
-        e.bb = bb_id(static_cast<std::int32_t>(std::stol(fields[3])));
-        e.from = node_id(static_cast<std::int32_t>(std::stol(fields[4])));
-        e.to = node_id(static_cast<std::int32_t>(std::stol(fields[5])));
-        if (width == 7) {
-            const auto reason = schedule_fail_reason_from(fields[6]);
-            if (!reason.has_value()) {
-                throw error("import_events_csv: unknown reason '" + fields[6] +
-                            "'");
-            }
-            e.reason = *reason;
+        e.vm = vm_id(reader.number<std::int32_t>(fields[2]));
+        e.bb = bb_id(reader.number<std::int32_t>(fields[3]));
+        e.from = node_id(reader.number<std::int32_t>(fields[4]));
+        e.to = node_id(reader.number<std::int32_t>(fields[5]));
+        const auto reason = schedule_fail_reason_from(fields[6]);
+        if (!reason.has_value()) {
+            throw error("import_events_csv: unknown reason '" + fields[6] +
+                        "'");
         }
+        e.reason = *reason;
         out.push_back(e);
     }
     return out;
@@ -246,7 +257,7 @@ std::size_t import_raw_metric(metric_store& store,
                               std::string_view metric) {
     std::ifstream f(raw_csv);
     if (!f.good()) throw not_found_error("import_raw_metric: file missing");
-    csv_reader reader(f);
+    csv_reader reader(f, "import_raw_metric: " + raw_csv.string());
     std::vector<std::string> header;
     expects(reader.next_row(header) && header.size() >= 2,
             "import_raw_metric: malformed header");
@@ -264,8 +275,8 @@ std::size_t import_raw_metric(metric_store& store,
             if (!fields[i].empty()) labels.set(header[i], fields[i]);
         }
         const series_id id = store.open_series(metric, std::move(labels));
-        store.append(id, static_cast<sim_time>(std::stoll(fields[label_count])),
-                     std::stod(fields[label_count + 1]));
+        store.append(id, reader.number<sim_time>(fields[label_count]),
+                     reader.number<double>(fields[label_count + 1]));
         ++imported;
     }
     return imported;

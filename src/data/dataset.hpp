@@ -44,6 +44,7 @@ struct manifest_entry {
     std::string subsystem;
     std::string resource;
     std::string unit;
+    std::string description;
     std::size_t series_count = 0;
 };
 

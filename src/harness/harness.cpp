@@ -5,9 +5,12 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "multiregion/region_set.hpp"
 #include "simcore/error.hpp"
+#include "simcore/parse.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace sci::harness {
@@ -125,21 +128,18 @@ std::optional<trace_record> read_trace_file(
     while (std::getline(in, line)) {
         const std::size_t eq = line.find('=');
         if (eq == std::string::npos) continue;
-        const auto trim = [](std::string s) {
-            const auto b = s.find_first_not_of(" \t\r");
-            const auto e = s.find_last_not_of(" \t\r");
-            return b == std::string::npos ? std::string()
-                                          : s.substr(b, e - b + 1);
-        };
-        const std::string key = trim(line.substr(0, eq));
-        const std::string value = trim(line.substr(eq + 1));
+        const std::string_view text = line;
+        const std::string key(trim(text.substr(0, eq)));
+        const std::string value(trim(text.substr(eq + 1)));
+        const std::string where = "read_trace_file: " + file.string();
         if (key == "scenario") trace.scenario = value;
-        else if (key == "days") trace.days = std::stoi(value);
-        else if (key == "events") trace.event_count = std::stoull(value);
-        else if (key == "events_hash") {
-            trace.events_hash = std::stoull(value, nullptr, 16);
+        else if (key == "days") trace.days = parse_number<int>(value, where);
+        else if (key == "events") {
+            trace.event_count = parse_number<std::uint64_t>(value, where);
+        } else if (key == "events_hash") {
+            trace.events_hash = parse_number<std::uint64_t>(value, where, 16);
         } else if (key == "stats_hash") {
-            trace.stats_hash = std::stoull(value, nullptr, 16);
+            trace.stats_hash = parse_number<std::uint64_t>(value, where, 16);
         } else {
             throw error("read_trace_file: unknown key '" + key + "' in " +
                         file.string());
@@ -187,13 +187,30 @@ invariant_result restore_identity_result(sim_time at, std::uint64_t events,
             "s -> codec round-trip -> restore -> replay is bit-identical"};
 }
 
-/// Multi-region run: one engine per [region.N] on a shared pool, one
-/// invariant_monitor per region, plus the fleet-wide cross-region
-/// conservation check.  Combined fingerprints chain the per-region
-/// hashes in region order — each region's hash is bit-identical to its
-/// solo run, so the chain is too.
-void run_multi_region(const scenario_spec& spec, const run_options& options,
-                      scenario_outcome& outcome) {
+/// Events and stats fingerprints of a run: a single-region scenario's own,
+/// else the per-region hashes chained in region order — each region's
+/// hash is bit-identical to its solo run, so the chain is too.
+std::pair<std::uint64_t, std::uint64_t> fingerprints(const region_set& set,
+                                                     bool solo) {
+    if (solo) {
+        return {events_fingerprint(set.region(0).events()),
+                stats_fingerprint(set.region(0).stats())};
+    }
+    std::uint64_t events = fnv_offset;
+    std::uint64_t stats = fnv_offset;
+    for (std::size_t r = 0; r < set.region_count(); ++r) {
+        fnv1a(events, events_fingerprint(set.region(r).events()));
+        fnv1a(stats, stats_fingerprint(set.region(r).stats()));
+    }
+    return {events, stats};
+}
+
+/// One engine per [region.N] (a single one without regions) on a shared
+/// pool, one invariant_monitor per region, plus the fleet-wide
+/// cross-region conservation check of a multi-region scenario.
+void run_regions(const scenario_spec& spec, const run_options& options,
+                 scenario_outcome& outcome) {
+    const bool solo = spec.regions.empty();
     region_set set(region_specs_of(spec), options.threads);
 
     // cross_region_conservation and restore_bit_identity are fleet-wide
@@ -225,19 +242,16 @@ void run_multi_region(const scenario_spec& spec, const run_options& options,
     set.run_until(window_end);
 
     outcome.stats = set.merged_stats();
-    outcome.stats_hash = fnv_offset;
-    outcome.events_hash = fnv_offset;
+    std::tie(outcome.events_hash, outcome.stats_hash) =
+        fingerprints(set, solo);
     for (std::size_t r = 0; r < set.region_count(); ++r) {
-        const sim_engine& engine = set.region(r);
-        outcome.event_count += engine.events().size();
-        fnv1a(outcome.events_hash, events_fingerprint(engine.events()));
-        fnv1a(outcome.stats_hash, stats_fingerprint(engine.stats()));
+        outcome.event_count += set.region(r).events().size();
         for (invariant_result result : monitors[r]->evaluate()) {
-            result.name = set.spec(r).name + "." + result.name;
+            if (!solo) result.name = set.spec(r).name + "." + result.name;
             outcome.invariants.push_back(std::move(result));
         }
     }
-    if (spec.invariants.cross_region_conservation) {
+    if (!solo && spec.invariants.cross_region_conservation) {
         std::vector<conservation_snapshot> snapshots;
         snapshots.reserve(set.region_count());
         for (std::size_t r = 0; r < set.region_count(); ++r) {
@@ -251,8 +265,8 @@ void run_multi_region(const scenario_spec& spec, const run_options& options,
             outcome.invariants.push_back(
                 invariant_result{"restore_bit_identity", true, skip_note});
         } else {
-            // full byte-codec round trip per region, then replay the
-            // restored bundle and chain its hashes the same way
+            // the replay starts from the decoded bytes, so one check covers
+            // serializer + codec + restore at once
             std::vector<snapshot::engine_state> decoded;
             decoded.reserve(mid.size());
             for (const snapshot::engine_state& state : mid) {
@@ -262,13 +276,7 @@ void run_multi_region(const scenario_spec& spec, const run_options& options,
             const std::unique_ptr<region_set> replay =
                 snapshot::restore_regions(decoded, options.threads);
             replay->run_until(window_end);
-            std::uint64_t events = fnv_offset;
-            std::uint64_t stats = fnv_offset;
-            for (std::size_t r = 0; r < replay->region_count(); ++r) {
-                fnv1a(events,
-                      events_fingerprint(replay->region(r).events()));
-                fnv1a(stats, stats_fingerprint(replay->region(r).stats()));
-            }
+            const auto [events, stats] = fingerprints(*replay, solo);
             outcome.invariants.push_back(
                 restore_identity_result(*barrier, events, stats, outcome));
         }
@@ -286,53 +294,7 @@ scenario_outcome run_scenario(const scenario_spec& spec,
     outcome.days = options.days > 0 ? std::min(options.days, observation_days)
                                     : observation_days;
 
-    if (!spec.regions.empty()) {
-        run_multi_region(spec, options, outcome);
-    } else {
-        engine_config config = spec.config;
-        if (options.threads.has_value()) config.threads = options.threads;
-
-        sim_engine engine(config);
-        invariant_monitor monitor(engine, spec.invariants, options.watch);
-        engine.setup();
-
-        const sim_time window_end = days(outcome.days);
-        std::string skip_note;
-        std::optional<sim_time> barrier;
-        std::optional<snapshot::engine_state> mid;
-        if (spec.invariants.restore_bit_identity) {
-            barrier = restore_barrier(spec, window_end, skip_note);
-            if (barrier.has_value()) {
-                engine.run_until(*barrier);
-                mid = snapshot::capture(engine);
-            }
-        }
-        engine.run_until(window_end);
-
-        outcome.stats = engine.stats();
-        outcome.invariants = monitor.evaluate();
-        outcome.event_count = engine.events().size();
-        outcome.events_hash = events_fingerprint(engine.events());
-        outcome.stats_hash = stats_fingerprint(engine.stats());
-
-        if (spec.invariants.restore_bit_identity) {
-            if (!barrier.has_value()) {
-                outcome.invariants.push_back(invariant_result{
-                    "restore_bit_identity", true, skip_note});
-            } else {
-                // the replayed engine starts from the decoded bytes, so
-                // one check covers serializer + codec + restore at once
-                const snapshot::engine_state decoded =
-                    snapshot::deserialize(snapshot::serialize(*mid));
-                const std::unique_ptr<sim_engine> replay =
-                    snapshot::restore(decoded);
-                replay->run_until(window_end);
-                outcome.invariants.push_back(restore_identity_result(
-                    *barrier, events_fingerprint(replay->events()),
-                    stats_fingerprint(replay->stats()), outcome));
-            }
-        }
-    }
+    run_regions(spec, options, outcome);
 
     if (spec.trace.empty()) return outcome;
     if (options.record_trace) {

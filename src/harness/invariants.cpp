@@ -12,6 +12,12 @@
 
 namespace sci::harness {
 
+std::string to_string(const invariant_result& r) {
+    return std::string("[") +
+           (r.skipped ? "skip" : (r.passed ? "pass" : "FAIL")) + "] " + r.name +
+           (r.detail.empty() ? "" : ": " + r.detail);
+}
+
 namespace {
 
 invariant_result pass(std::string name, std::string detail) {

@@ -24,11 +24,15 @@
 //     registry VMs per building block, and no resident sits on a downed
 //     host.
 
+#include <concepts>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "core/field_list.hpp"
 #include "infra/event_log.hpp"
 #include "infra/ids.hpp"
 #include "infra/vm.hpp"
@@ -72,18 +76,40 @@ struct invariant_config {
     /// second run), not by the invariant_monitor.
     bool restore_bit_identity = false;
 
-    /// Number of enabled checkers.
+    /// The one list of every checker switch: fn(config_key, field) with
+    /// `field` a reference into `c`, in the DSL's rendered order.
+    template <typename Self, typename Fn>
+        requires std::same_as<std::remove_const_t<Self>, invariant_config>
+    static constexpr void for_each_field(Self& c, Fn&& fn) {
+        using k = config_key;
+        constexpr std::string_view s = "invariants";
+        fn(k{s, "admission_accounting"}, c.admission_accounting);
+        fn(k{s, "no_silent_drops"}, c.no_silent_drops);
+        fn(k{s, "conservation"}, c.conservation);
+        fn(k{s, "no_blackhole"}, c.no_blackhole);
+        fn(k{s, "backpressure_stability"}, c.backpressure_stability);
+        fn(k{s, "flapping_max_moves_per_vm_day"},
+           c.flapping_max_moves_per_vm_day);
+        fn(k{s, "imbalance_epsilon"}, c.imbalance_epsilon);
+        fn(k{s, "recovery_p99_seconds"}, c.recovery_p99_seconds);
+        fn(k{s, "cross_region_conservation"}, c.cross_region_conservation);
+        fn(k{s, "restore_bit_identity"}, c.restore_bit_identity);
+    }
+
+    /// Number of enabled checkers (a switch that is true or a bound that
+    /// is set).
     int count() const {
-        return (admission_accounting ? 1 : 0) + (no_silent_drops ? 1 : 0) +
-               (conservation ? 1 : 0) + (no_blackhole ? 1 : 0) +
-               (backpressure_stability ? 1 : 0) +
-               (flapping_max_moves_per_vm_day.has_value() ? 1 : 0) +
-               (imbalance_epsilon.has_value() ? 1 : 0) +
-               (recovery_p99_seconds.has_value() ? 1 : 0) +
-               (cross_region_conservation ? 1 : 0) +
-               (restore_bit_identity ? 1 : 0);
+        int n = 0;
+        for_each_field(*this, [&](const config_key&, const auto& on) {
+            n += static_cast<bool>(on) ? 1 : 0;
+        });
+        return n;
     }
 };
+
+static_assert(leaf_count<invariant_config>() ==
+                  listed_field_count<invariant_config>(),
+              "invariant_config::for_each_field must list every field");
 
 /// Outcome of one checker.
 struct invariant_result {
@@ -95,6 +121,10 @@ struct invariant_result {
     /// but sciverify reports the verdict as "skip", not an implicit pass.
     bool skipped = false;
 };
+
+/// One verdict line: "[pass] name: detail" ("[skip]" / "[FAIL]"; no
+/// ": detail" when the detail is empty).
+std::string to_string(const invariant_result& r);
 
 /// admitted == placed + explicitly rejected, every rejection carries a
 /// reason, and holistic claim rejections are a subset of failures.

@@ -49,11 +49,12 @@
 //   name = churn_storm
 //   daily_churn_fraction = 0.25
 //
-// Deliberately NOT in the DSL: `threads` (runtime concern — SCI_THREADS;
-// a scenario's output is bit-identical at any worker count) and
-// `initial_population` (derived from scale, like every fleet dimension).
+// The keys, the fields they set and the ones a region may override come
+// from engine_config::for_each_field and invariant_config::for_each_field.
 
 #include <filesystem>
+#include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -71,15 +72,11 @@ struct region_override {
     std::size_t index = 0;
     /// Export/diagnostic name; defaults to "region<index>".
     std::string name;
-    std::optional<double> scale;
-    /// Explicit master seed; defaults to derive_region_seed(base, index).
-    std::optional<std::uint64_t> seed;
-    std::optional<double> daily_churn_fraction;
-    std::optional<double> crash_rate_per_day;
-    std::optional<double> migration_abort_probability;
-    std::optional<int> az_outages;
-    std::optional<sim_duration> az_outage_at;
-    std::optional<sim_duration> az_outage_repair_time;
+    /// The section's `key = value` lines (values in canonical form, last
+    /// assignment wins), each a field-list key a region may override.  A
+    /// region's seed defaults to derive_region_seed(base, index) unless
+    /// `seed` is assigned here.
+    std::map<std::string, std::string, std::less<>> assignments;
 };
 
 /// A parsed scenario: what to run and what must hold.
@@ -107,6 +104,13 @@ struct scenario_spec {
 /// derive_region_seed(seed, 0) == seed, so the solo run is unchanged).
 /// Region names must be unique: they become export subdirectories.
 std::vector<region_spec> region_specs_of(const scenario_spec& spec);
+
+/// Set one DSL key of `config` from its text, exactly as a `key = value`
+/// line of the [section] would (every field listed under the key).
+/// Throws sci::error("<where>: ...") for an unknown key or a bad value.
+void set_config_key(engine_config& config, std::string_view section,
+                    std::string_view key, std::string_view value,
+                    std::string_view where);
 
 /// Parse scenario text; throws sci::error with the offending line number.
 scenario_spec parse_scenario(std::string_view text);

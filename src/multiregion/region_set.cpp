@@ -44,32 +44,6 @@ run_stats merge_run_stats(std::span<const run_stats> per_region) {
 
 namespace {
 
-/// manifest.csv row with the description column read_manifest drops (the
-/// combined manifest must reproduce it verbatim).
-struct manifest_row {
-    std::string metric, subsystem, resource, unit, description;
-    std::size_t series_count = 0;
-};
-
-std::vector<manifest_row> read_manifest_rows(const std::filesystem::path& dir) {
-    std::ifstream f(dir / "manifest.csv");
-    if (!f.good()) {
-        throw not_found_error("merge_region_exports: missing " +
-                              (dir / "manifest.csv").string());
-    }
-    csv_reader reader(f);
-    std::vector<std::string> fields;
-    expects(reader.next_row(fields) && fields.size() >= 6,
-            "merge_region_exports: malformed manifest header");
-    std::vector<manifest_row> out;
-    while (reader.next_row(fields)) {
-        expects(fields.size() >= 6, "merge_region_exports: malformed row");
-        out.push_back(manifest_row{fields[0], fields[1], fields[2], fields[3],
-                                   fields[4], std::stoull(fields[5])});
-    }
-    return out;
-}
-
 /// Fleet-wide aggregate of one (metric, day): counts add, means merge
 /// count-weighted, extremes take min/max.  Regions merge in region order,
 /// so the floating-point accumulation is deterministic.
@@ -89,12 +63,12 @@ dataset_export_report merge_region_exports(
 
     // Combined manifest: metric order of the first region (every region
     // shares the standard catalog), series counts summed across regions.
-    std::vector<manifest_row> combined;
+    std::vector<manifest_entry> combined;
     for (const std::string& name : region_names) {
-        for (const manifest_row& row : read_manifest_rows(dir / name)) {
+        for (const manifest_entry& row : read_manifest(dir / name)) {
             auto it = std::find_if(
                 combined.begin(), combined.end(),
-                [&](const manifest_row& c) { return c.metric == row.metric; });
+                [&](const manifest_entry& c) { return c.metric == row.metric; });
             if (it == combined.end()) {
                 combined.push_back(row);
             } else {
@@ -109,7 +83,7 @@ dataset_export_report merge_region_exports(
     csv_writer manifest(manifest_file);
     manifest.write_row({"metric", "subsystem", "resource", "unit",
                         "description", "series_count"});
-    for (const manifest_row& row : combined) {
+    for (const manifest_entry& row : combined) {
         manifest.write_row({row.metric, row.subsystem, row.resource, row.unit,
                             row.description, std::to_string(row.series_count)});
     }
@@ -122,15 +96,17 @@ dataset_export_report merge_region_exports(
             "merge_region_exports: cannot create fleet_daily.csv");
     csv_writer daily(daily_file);
     daily.write_row({"metric", "day", "count", "mean", "min", "max"});
-    for (const manifest_row& metric : combined) {
+    for (const manifest_entry& metric : combined) {
         if (metric.series_count == 0) continue;
         ++report.metrics_exported;
         report.series_exported += metric.series_count;
         std::map<int, fleet_day> days;
         for (const std::string& name : region_names) {
-            std::ifstream f(dir / name / (metric.metric + ".daily.csv"));
+            const std::filesystem::path file =
+                dir / name / (metric.metric + ".daily.csv");
+            std::ifstream f(file);
             if (!f.good()) continue;  // metric had no series in this region
-            csv_reader reader(f);
+            csv_reader reader(f, "merge_region_exports: " + file.string());
             std::vector<std::string> fields;
             expects(reader.next_row(fields) && fields.size() >= 5,
                     "merge_region_exports: malformed daily header");
@@ -138,11 +114,11 @@ dataset_export_report merge_region_exports(
                 expects(fields.size() >= 5,
                         "merge_region_exports: malformed daily row");
                 const std::size_t base = fields.size() - 5;
-                const int day = std::stoi(fields[base]);
-                const std::uint64_t count = std::stoull(fields[base + 1]);
-                const double mean = std::stod(fields[base + 2]);
-                const double lo = std::stod(fields[base + 3]);
-                const double hi = std::stod(fields[base + 4]);
+                const int day = reader.number<int>(fields[base]);
+                const auto count = reader.number<std::uint64_t>(fields[base + 1]);
+                const double mean = reader.number<double>(fields[base + 2]);
+                const double lo = reader.number<double>(fields[base + 3]);
+                const double hi = reader.number<double>(fields[base + 4]);
                 fleet_day& fd = days[day];
                 if (fd.count == 0) {
                     fd.min = lo;
@@ -169,21 +145,27 @@ dataset_export_report merge_region_exports(
     return report;
 }
 
+namespace {
+
+/// At least one region, and no two on one derived master seed: they would
+/// replay each other's streams — "independent regions" silently becomes
+/// the same region twice.
+void audit_region_seeds(const std::vector<region_spec>& specs) {
+    expects(!specs.empty(), "region_set: need at least one region");
+    std::set<std::uint64_t> seeds;
+    for (const region_spec& spec : specs) {
+        expects(seeds.insert(spec.config.scenario.seed).second,
+                "region_set: two regions share a derived master seed");
+    }
+}
+
+}  // namespace
+
 region_set::region_set(std::vector<region_spec> specs,
                        std::optional<unsigned> threads)
     : specs_(std::move(specs)),
       pool_(threads.value_or(thread_pool::env_threads())) {
-    expects(!specs_.empty(), "region_set: need at least one region");
-
-    // RNG-stream derivation audit: two regions on one derived master seed
-    // would replay each other's streams — "independent regions" silently
-    // becomes the same region twice.
-    std::set<std::uint64_t> seeds;
-    for (const region_spec& spec : specs_) {
-        expects(seeds.insert(spec.config.scenario.seed).second,
-                "region_set: two regions share a derived master seed");
-    }
-
+    audit_region_seeds(specs_);
     engines_.reserve(specs_.size());
     for (const region_spec& spec : specs_) {
         engines_.push_back(std::make_unique<sim_engine>(spec.config));
@@ -196,15 +178,8 @@ region_set::region_set(std::vector<region_spec> specs,
                        std::optional<unsigned> threads)
     : specs_(std::move(specs)),
       pool_(threads.value_or(thread_pool::env_threads())) {
-    expects(!specs_.empty(), "region_set: need at least one region");
     expects(static_cast<bool>(build), "region_set: null engine builder");
-
-    std::set<std::uint64_t> seeds;
-    for (const region_spec& spec : specs_) {
-        expects(seeds.insert(spec.config.scenario.seed).second,
-                "region_set: two regions share a derived master seed");
-    }
-
+    audit_region_seeds(specs_);
     engines_.reserve(specs_.size());
     for (std::size_t r = 0; r < specs_.size(); ++r) {
         engines_.push_back(build(r, pool_));

@@ -57,6 +57,17 @@ struct backpressure_config {
     sim_duration queue_deadline = 0;
 
     bool active() const { return mode != backpressure_mode::degrade; }
+
+    /// `mode` with a default queue for runs that set no queue of their own:
+    /// 256 requests, one-hour deadline (left empty in degrade mode).
+    static backpressure_config with_default_queue(backpressure_mode mode) {
+        backpressure_config config{mode};
+        if (config.active()) {
+            config.queue_capacity = 256;
+            config.queue_deadline = hours(1);
+        }
+        return config;
+    }
 };
 
 /// What kind of request is waiting (decides the lifecycle event recorded

@@ -224,36 +224,8 @@ void codec(IO& io, T& v) {
 // --- engine types ------------------------------------------------------------
 
 void codec(auto& io, of<engine_config> auto& c) {
-    fields(io, c.scenario.scale, c.scenario.seed, c.scenario.hana_node_fraction,
-           c.scenario.dedicated_xl_node_fraction,
-           c.scenario.reserve_node_fraction, c.sampling_interval,
-           c.drs_interval, c.drs.imbalance_threshold,
-           c.drs.max_migrations_per_pass, c.drs.heavy_vm_ram_mib,
-           c.drs.min_gain, c.drs.cpu_allocation_ratio,
-           c.drs.ram_allocation_ratio, c.drs.enabled, c.drs.pack_memory,
-           c.store.days, c.store.keep_raw, c.population.initial_population,
-           c.population.daily_churn_fraction, c.population.project_count,
-           c.population.seed, c.contention_aware,
-           c.contention_filter_threshold_pct, c.holistic, c.lifetime_aware,
-           c.node_churn_fraction, c.daily_resize_fraction,
-           c.gp_cpu_allocation_ratio_override, c.cross_bb_interval,
-           c.cross_bb.target_ram_spread, c.cross_bb.max_moves_per_pass,
-           c.cross_bb.heavy_vm_ram_mib, c.cross_bb.max_downtime_ms,
-           c.cross_bb.cost.bandwidth_mib_per_s,
-           c.cross_bb.cost.stop_and_copy_mib,
-           c.cross_bb.cost.max_precopy_rounds,
-           c.migration_cost.bandwidth_mib_per_s,
-           c.migration_cost.stop_and_copy_mib,
-           c.migration_cost.max_precopy_rounds, c.threads,
-           c.fault.host_crash_rate_per_day, c.fault.claim_failure_probability,
-           c.fault.migration_abort_probability,
-           c.fault.degraded_node_fraction, c.fault.degraded_cpu_factor,
-           c.fault.maintenance_windows, c.fault.maintenance_duration,
-           c.fault.az_outages, c.fault.az_outage_at,
-           c.fault.az_outage_repair_time, c.fault.ha_restart_delay,
-           c.fault.ha_retry_backoff, c.fault.ha_max_restart_attempts,
-           c.fault.crash_repair_time, c.backpressure.mode,
-           c.backpressure.queue_capacity, c.backpressure.queue_deadline);
+    engine_config::for_each_field(
+        c, [&](const config_key&, auto& field) { codec(io, field); });
 }
 
 void codec(auto& io, of<fault_event> auto& e) {

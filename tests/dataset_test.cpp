@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "simcore/error.hpp"
 
@@ -251,6 +254,126 @@ TEST_F(DatasetTest, ImportUnknownMetricThrows) {
                                   ".raw.csv"),
                           "not_a_metric"),
         not_found_error);
+}
+
+
+/// Replace one cell of a CSV file (`row` counts lines from 0 = header).
+void rewrite_cell(const std::filesystem::path& file, std::size_t row,
+                  std::size_t column, const std::string& text) {
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(file);
+        for (std::string line; std::getline(in, line);) lines.push_back(line);
+    }
+    ASSERT_LT(row, lines.size());
+    std::vector<std::string> cells(1);
+    for (const char c : lines[row]) {
+        if (c == ',') cells.emplace_back();
+        else cells.back() += c;
+    }
+    ASSERT_LT(column, cells.size());
+    cells[column] = text;
+    lines[row].clear();
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        lines[row] += (c == 0 ? "" : ",") + cells[c];
+    }
+    std::ofstream out(file, std::ios::trunc);
+    for (const std::string& line : lines) out << line << "\n";
+}
+
+std::size_t column_count(const std::filesystem::path& file) {
+    std::ifstream in(file);
+    std::string header;
+    std::getline(in, header);
+    return static_cast<std::size_t>(
+               std::count(header.begin(), header.end(), ',')) +
+           1;
+}
+
+/// `call` throws a sci::error whose message names `file`, `row` and the
+/// malformed text.
+template <typename Call>
+void expect_error_naming(Call call, const std::filesystem::path& file,
+                         const std::string& row, const std::string& bad) {
+    try {
+        call();
+        ADD_FAILURE() << "no error for '" << bad << "'";
+    } catch (const error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(file.string()), std::string::npos) << what;
+        EXPECT_NE(what.find(row), std::string::npos) << what;
+        EXPECT_NE(what.find("got '" + bad + "'"), std::string::npos) << what;
+    }
+}
+
+void write_two_events(const std::filesystem::path& file) {
+    lifecycle_event e;
+    e.vm = vm_id(1);
+    e.bb = bb_id(2);
+    event_log events;
+    e.t = 5;
+    e.kind = lifecycle_event_kind::create;
+    e.to = node_id(3);
+    events.record(e);
+    e.t = 9;
+    e.kind = lifecycle_event_kind::remove;
+    e.from = node_id(3);
+    e.to = node_id();
+    events.record(e);
+    export_events_csv(events, file);
+}
+
+TEST_F(DatasetTest, ImportEventsRejectsMalformedNumbersWithFileAndRow) {
+    std::filesystem::create_directories(dir_);
+    const auto file = dir_ / "events.csv";
+    write_two_events(file);
+    rewrite_cell(file, 2, 2, "1x");  // vm of the second event
+    expect_error_naming([&] { import_events_csv(file); }, file, "row 3",
+                        "1x");
+    write_two_events(file);
+    rewrite_cell(file, 1, 0, "");  // empty time
+    expect_error_naming([&] { import_events_csv(file); }, file, "row 2", "");
+}
+
+TEST_F(DatasetTest, ImportEventsRequiresTheSevenColumnHeader) {
+    std::filesystem::create_directories(dir_);
+    const auto file = dir_ / "events.csv";
+    {
+        // the pre-reason 6-column layout
+        std::ofstream out(file);
+        out << "t,kind,vm,bb,from_node,to_node\n5,create,1,2,-1,3\n";
+    }
+    EXPECT_THROW(import_events_csv(file), error);
+    write_two_events(file);
+    rewrite_cell(file, 0, 4, "from");
+    EXPECT_THROW(import_events_csv(file), error);
+}
+
+TEST_F(DatasetTest, ImportRawMetricRejectsMalformedValueWithFileAndRow) {
+    export_dataset(make_populated_store(true), dir_);
+    const auto raw_file =
+        dir_ /
+        (std::string(metric_names::host_cpu_core_utilization) + ".raw.csv");
+    // trailing columns are t,value
+    rewrite_cell(raw_file, 4, column_count(raw_file) - 1, "3O.5");
+    metric_store store(metric_registry::standard_catalog());
+    expect_error_naming(
+        [&] {
+            import_raw_metric(store, raw_file,
+                              metric_names::host_cpu_core_utilization);
+        },
+        raw_file, "row 5", "3O.5");
+}
+
+TEST_F(DatasetTest, ImportDatasetRejectsMalformedDailyCellWithFileAndRow) {
+    export_dataset(make_populated_store(false), dir_);
+    const auto daily_file =
+        dir_ /
+        (std::string(metric_names::host_memory_usage) + ".daily.csv");
+    // trailing columns are day,count,mean,min,max; corrupt the count
+    rewrite_cell(daily_file, 1, column_count(daily_file) - 4, "-");
+    expect_error_naming([&] { import_dataset(dir_); }, daily_file, "row 2",
+                        "-");
 }
 
 }  // namespace

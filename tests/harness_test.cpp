@@ -16,10 +16,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "config_fields.hpp"
 #include "core/engine.hpp"
 #include "harness/harness.hpp"
 #include "harness/invariants.hpp"
@@ -124,6 +128,167 @@ TEST(ScenarioDsl, ShippedScenariosParseWithRealInvariants) {
             << file;
     }
 }
+
+// --- the config field lists --------------------------------------------
+
+using testing_fields::field_values;
+using testing_fields::set_other;
+
+TEST(ScenarioDsl, EveryKeyRoundTripsThroughRender) {
+    scenario_spec spec;
+    spec.name = "every_key";
+    // fields sharing a key (seed) get one value, like the DSL gives them
+    std::map<std::string_view, int> value_of_key;
+    engine_config::for_each_field(
+        spec.config, [&](const config_key& key, auto& field) {
+            if (key.codec_only()) return;
+            set_other(field, value_of_key
+                                 .try_emplace(key.name,
+                                              static_cast<int>(
+                                                  value_of_key.size()) + 1)
+                                 .first->second);
+        });
+    int n = 0;
+    invariant_config::for_each_field(
+        spec.invariants,
+        [&](const config_key&, auto& field) { set_other(field, ++n); });
+
+    // every DSL field moved off its default, every codec-only one did not
+    const std::vector<std::string> defaults = field_values(engine_config{});
+    const std::vector<std::string> moved = field_values(spec.config);
+    ASSERT_EQ(moved.size(), defaults.size());
+    for (std::size_t i = 0; i < moved.size(); ++i) {
+        EXPECT_EQ(moved[i] == defaults[i], moved[i].starts_with("#"))
+            << moved[i];
+    }
+    EXPECT_EQ(spec.invariants.count(), n);
+
+    const std::string text = render_scenario(spec);
+    const scenario_spec parsed = parse_scenario(text);
+    EXPECT_EQ(field_values(parsed.config), moved);
+    EXPECT_EQ(field_values(parsed.invariants), field_values(spec.invariants));
+    EXPECT_EQ(render_scenario(parsed), text);
+}
+
+TEST(ScenarioDsl, RegionsOverrideExactlyThePerRegionKeys) {
+    const engine_config defaults;
+    std::vector<std::string> per_region;
+    std::vector<std::pair<std::string, std::string>> base_only;
+    engine_config::for_each_field(
+        defaults, [&](const config_key& key, const auto&) {
+            if (key.codec_only() || key.mirror) return;
+            if (key.per_region) {
+                per_region.emplace_back(key.name);
+            } else {
+                base_only.emplace_back(key.section, key.name);
+            }
+        });
+    EXPECT_EQ(per_region,
+              (std::vector<std::string>{
+                  "scale", "seed", "daily_churn_fraction",
+                  "crash_rate_per_day", "migration_abort_probability",
+                  "az_outages", "az_outage_at", "az_outage_repair_time"}));
+
+    // any other key, codec-only and [invariants] ones included, fails
+    // with the message it always had
+    base_only.emplace_back("engine", "threads");
+    base_only.emplace_back("engine", "initial_population");
+    base_only.emplace_back("invariants", "conservation");
+    for (const auto& [section, key] : base_only) {
+        try {
+            parse_scenario("[scenario]\nname = x\n[region.0]\n" + key +
+                           " = 1\n");
+            ADD_FAILURE() << key << " accepted in [region.0]";
+        } catch (const error& e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "scenario parse: line 4: unknown [region] key '" + key +
+                          "'");
+        }
+    }
+
+    // every per-region key lands in its region, applied exactly like the
+    // same line of the base section; the other region keeps the base
+    std::string text =
+        "[scenario]\nname = x\n[engine]\nscale = 0.5\n[region.0]\n"
+        "[region.1]\n";
+    int value = 2;
+    engine_config expected;
+    expected.scenario.scale = 0.5;
+    engine_config::for_each_field(
+        defaults, [&](const config_key& key, const auto&) {
+            if (!key.per_region || key.mirror) return;
+            const std::string v = std::to_string(value++);
+            text += std::string(key.name) + " = " + v + "\n";
+            set_config_key(expected, key.section, key.name, v, "test");
+        });
+    const scenario_spec spec = parse_scenario(text);
+    const std::vector<region_spec> regions = region_specs_of(spec);
+    ASSERT_EQ(regions.size(), 2u);
+    EXPECT_EQ(field_values(regions[1].config), field_values(expected));
+    engine_config region0 = spec.config;
+    region0.scenario.seed = region0.population.seed =
+        derive_region_seed(spec.config.scenario.seed, 0);
+    EXPECT_EQ(field_values(regions[0].config), field_values(region0));
+    // and the region section renders back to the same assignments
+    EXPECT_EQ(render_scenario(parse_scenario(render_scenario(spec))),
+              render_scenario(spec));
+}
+
+TEST(ScenarioDsl, SetConfigKeyIsTheDslSetter) {
+    engine_config config;
+    set_config_key(config, "fault", "crash_rate_per_day", "0.25", "--crash-rate");
+    EXPECT_EQ(config.fault.host_crash_rate_per_day, 0.25);
+    set_config_key(config, "engine", "seed", "9", "--seed");
+    EXPECT_EQ(config.scenario.seed, 9u);
+    EXPECT_EQ(config.population.seed, 9u);
+    const auto message = [&](std::string_view section, std::string_view key,
+                             std::string_view value) {
+        try {
+            set_config_key(config, section, key, value, "--flag");
+        } catch (const error& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_EQ(message("fault", "crash_rate_per_day", "abc"),
+              "--flag: expected a number, got 'abc'");
+    EXPECT_EQ(message("fault", "maintenance_windows", "2x"),
+              "--flag: expected an integer, got '2x'");
+    EXPECT_EQ(message("fault", "scale", "1"),
+              "--flag: unknown [fault] key 'scale'");
+    EXPECT_EQ(message("engine", "seed", "-1"), "--flag: seed must be >= 0");
+    // out-of-range values fail instead of wrapping into the narrower field
+    EXPECT_EQ(message("backpressure", "queue_capacity", "4294967296"),
+              "--flag: expected an integer, got '4294967296'");
+    EXPECT_EQ(message("engine", "project_count", "2147483648"),
+              "--flag: expected an integer, got '2147483648'");
+    EXPECT_EQ(message("engine", "seed", "18446744073709551615"), "accepted");
+}
+
+// A config field left out of its list trips the static_assert next to the
+// list: the leaf count sees through nested configs and optionals.
+struct tripwire_inner {
+    double a = 0.0;
+    std::optional<unsigned> b;
+};
+struct tripwire_config {
+    tripwire_inner inner;
+    bool listed = false;
+    int forgotten = 0;
+
+    template <typename Self, typename Fn>
+    static constexpr void for_each_field(Self& c, Fn&& fn) {
+        fn(config_key{"x", "a"}, c.inner.a);
+        fn(config_key{"x", "b"}, c.inner.b);
+        fn(config_key{"x", "listed"}, c.listed);
+    }
+};
+static_assert(leaf_count<tripwire_config>() == 4);
+static_assert(listed_field_count<tripwire_config>() == 3);
+static_assert(leaf_count<engine_config>() ==
+              listed_field_count<engine_config>());
+static_assert(leaf_count<invariant_config>() ==
+              listed_field_count<invariant_config>());
 
 // --- each checker can actually fail -------------------------------------
 
@@ -346,6 +511,24 @@ TEST(Replay, TraceFileTellsMatchedFromMismatched) {
     write_trace_file(*tampered, trace);
     scenario_outcome skipped = run_scenario(spec, options);
     EXPECT_EQ(skipped.replay, replay_status::skipped);
+    std::filesystem::remove(trace);
+}
+
+TEST(Replay, MalformedTraceFileFailsNamingTheFile) {
+    const std::filesystem::path trace =
+        std::filesystem::path(testing::TempDir()) / "malformed.trace";
+    write_trace_file(trace_record{"x", 2, 10, 0xabcdefu, 0x12u}, trace);
+    const std::optional<trace_record> read = read_trace_file(trace);
+    ASSERT_TRUE(read.has_value());
+    EXPECT_EQ(read->events_hash, 0xabcdefu);
+    std::ofstream(trace, std::ios::app) << "days = 2x\n";
+    try {
+        read_trace_file(trace);
+        ADD_FAILURE() << "malformed days accepted";
+    } catch (const error& e) {
+        EXPECT_EQ(std::string(e.what()), "read_trace_file: " + trace.string() +
+                                             ": expected an integer, got '2x'");
+    }
     std::filesystem::remove(trace);
 }
 

@@ -24,6 +24,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "config_fields.hpp"
 #include "core/engine.hpp"
 #include "harness/harness.hpp"
 #include "multiregion/region_set.hpp"
@@ -241,6 +242,26 @@ TEST(SnapshotTest, EveryRunStatsFieldRoundTrips) {
     run_stats::for_each_field([&](const char* name, auto field, auto) {
         EXPECT_EQ(decoded.stats.*field, state.stats.*field) << name;
     });
+}
+
+TEST(SnapshotTest, EveryEngineConfigFieldRoundTrips) {
+    snapshot::engine_state state = default_runs()[0].mid;
+    const std::vector<std::string> before =
+        testing_fields::field_values(state.config);
+    int n = 0;
+    engine_config::for_each_field(
+        state.config, [&](const config_key&, auto& field) {
+            testing_fields::set_other(field, ++n);
+        });
+    const std::vector<std::string> moved =
+        testing_fields::field_values(state.config);
+    ASSERT_EQ(moved.size(), before.size());
+    for (std::size_t i = 0; i < moved.size(); ++i) {
+        EXPECT_NE(moved[i], before[i]);
+    }
+    const snapshot::engine_state decoded =
+        snapshot::deserialize(snapshot::serialize(state));
+    EXPECT_EQ(testing_fields::field_values(decoded.config), moved);
 }
 
 TEST(SnapshotTest, MidHaGroupSnapshotRestoresExactly) {

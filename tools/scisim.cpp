@@ -13,13 +13,15 @@
 // Scale 1.0 reproduces the paper's full region (1,800 nodes / 48,000 VMs);
 // the default 0.05 runs in seconds on a laptop.
 
+#include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include <fstream>
 
@@ -32,16 +34,34 @@
 #include "harness/invariants.hpp"
 #include "harness/scenario_dsl.hpp"
 #include "multiregion/region_set.hpp"
+#include "simcore/parse.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace {
 
+/// A flag that sets a config field: the scenario DSL key it stands for.
+struct config_flag {
+    std::string_view flag, section, key;
+};
+
+constexpr config_flag config_flags[] = {
+    {"--scale", "engine", "scale"},
+    {"--seed", "engine", "seed"},
+    {"--crash-rate", "fault", "crash_rate_per_day"},
+    {"--claim-fail", "fault", "claim_failure_probability"},
+    {"--mig-abort", "fault", "migration_abort_probability"},
+    {"--degraded", "fault", "degraded_node_fraction"},
+    {"--degraded-cpu-factor", "fault", "degraded_cpu_factor"},
+    {"--maintenance", "fault", "maintenance_windows"},
+};
+
 struct cli_options {
-    double scale = 0.05;
-    std::uint64_t seed = 42;
     std::filesystem::path out_dir = "sci_dataset";
     std::filesystem::path markdown_file;  ///< report: write markdown here
-    sci::fault_config fault;              ///< inert unless a knob is set
+    /// The config flags given, with their values, in order.  They win
+    /// over a --scenario file; any fault flag replaces the file's whole
+    /// [fault] section.
+    std::vector<std::pair<const config_flag*, std::string>> set;
     /// --backpressure: overload mode for ad-hoc runs.  A --scenario
     /// file's [backpressure] section always wins over this flag — a
     /// scenario IS its overload physics, unlike --scale/--seed which are
@@ -58,80 +78,83 @@ struct cli_options {
     /// --restore: resume from checkpoint file(s) instead of a fresh
     /// setup (pass once per region, in region order).
     std::vector<std::filesystem::path> restore_files;
-    // CLI flags win over a --scenario file only when actually given.
-    bool scale_set = false;
-    bool seed_set = false;
-    bool fault_touched = false;
+    /// Simulated days to play: the observation window, or the
+    /// SCI_BENCH_DAYS cap.
+    int days = sci::observation_days;
 };
+
+/// `config` with the given config flags applied.
+sci::engine_config with_flags(sci::engine_config config,
+                              const cli_options& options) {
+    for (const auto& [flag, value] : options.set) {
+        sci::harness::set_config_key(config, flag->section, flag->key, value,
+                                     flag->flag);
+    }
+    return config;
+}
+
+/// The config of a run without a scenario file: scale 0.05 runs in
+/// seconds.
+sci::engine_config ad_hoc_config(const cli_options& options) {
+    sci::engine_config config;
+    config.scenario.scale = 0.05;
+    return with_flags(config, options);
+}
 
 cli_options parse_options(int argc, char** argv, int first) {
     cli_options options;
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << arg << "\n";
+    try {
+        if (const int cap = sci::bench_days_cap(); cap > 0) options.days = cap;
+        for (int i = first; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const auto next = [&]() -> const char* {
+                if (i + 1 >= argc) {
+                    std::cerr << "missing value for " << arg << "\n";
+                    std::exit(2);
+                }
+                return argv[++i];
+            };
+            const auto* flag =
+                std::ranges::find(config_flags, arg, &config_flag::flag);
+            if (flag != std::end(config_flags)) {
+                options.set.emplace_back(flag, next());
+            } else if (arg == "--out") {
+                options.out_dir = next();
+            } else if (arg == "--markdown") {
+                options.markdown_file = next();
+            } else if (arg == "--scenario") {
+                options.scenario_file = next();
+            } else if (arg == "--regions") {
+                options.regions = sci::parse_number<int>(next(), arg);
+            } else if (arg == "--check-invariants") {
+                options.check_invariants = true;
+            } else if (arg == "--snapshot-at") {
+                options.snapshot_at =
+                    sci::parse_number<sci::sim_time>(next(), arg);
+            } else if (arg == "--snapshot-out") {
+                options.snapshot_out = next();
+            } else if (arg == "--restore") {
+                options.restore_files.emplace_back(next());
+            } else if (arg == "--backpressure") {
+                const char* token = next();
+                options.backpressure = sci::backpressure_mode_from(token);
+                if (!options.backpressure.has_value()) {
+                    std::cerr << "--backpressure expects degrade, queue or "
+                                 "shed (got '"
+                              << token << "')\n";
+                    std::exit(2);
+                }
+            } else {
+                std::cerr << "unknown option: " << arg << "\n";
                 std::exit(2);
             }
-            return argv[++i];
-        };
-        if (arg == "--scale") {
-            options.scale = std::atof(next());
-            options.scale_set = true;
-        } else if (arg == "--seed") {
-            options.seed = std::strtoull(next(), nullptr, 10);
-            options.seed_set = true;
-        } else if (arg == "--out") {
-            options.out_dir = next();
-        } else if (arg == "--markdown") {
-            options.markdown_file = next();
-        } else if (arg == "--scenario") {
-            options.scenario_file = next();
-        } else if (arg == "--regions") {
-            options.regions = std::atoi(next());
-        } else if (arg == "--check-invariants") {
-            options.check_invariants = true;
-        } else if (arg == "--snapshot-at") {
-            options.snapshot_at =
-                static_cast<sci::sim_time>(std::strtoll(next(), nullptr, 10));
-        } else if (arg == "--snapshot-out") {
-            options.snapshot_out = next();
-        } else if (arg == "--restore") {
-            options.restore_files.emplace_back(next());
-        } else if (arg == "--crash-rate") {
-            options.fault.host_crash_rate_per_day = std::atof(next());
-            options.fault_touched = true;
-        } else if (arg == "--claim-fail") {
-            options.fault.claim_failure_probability = std::atof(next());
-            options.fault_touched = true;
-        } else if (arg == "--mig-abort") {
-            options.fault.migration_abort_probability = std::atof(next());
-            options.fault_touched = true;
-        } else if (arg == "--degraded") {
-            options.fault.degraded_node_fraction = std::atof(next());
-            options.fault_touched = true;
-        } else if (arg == "--degraded-cpu-factor") {
-            options.fault.degraded_cpu_factor = std::atof(next());
-            options.fault_touched = true;
-        } else if (arg == "--maintenance") {
-            options.fault.maintenance_windows = std::atoi(next());
-            options.fault_touched = true;
-        } else if (arg == "--backpressure") {
-            const char* token = next();
-            options.backpressure = sci::backpressure_mode_from(token);
-            if (!options.backpressure.has_value()) {
-                std::cerr << "--backpressure expects degrade, queue or "
-                             "shed (got '"
-                          << token << "')\n";
-                std::exit(2);
-            }
-        } else {
-            std::cerr << "unknown option: " << arg << "\n";
+        }
+        if (ad_hoc_config(options).scenario.scale <= 0.0) {
+            std::cerr << "--scale must be positive\n";
             std::exit(2);
         }
-    }
-    if (options.scale <= 0.0) {
-        std::cerr << "--scale must be positive\n";
+    } catch (const sci::error& e) {
+        std::cerr << e.what() << "\n";
         std::exit(2);
     }
     if (options.regions < 1) {
@@ -140,9 +163,9 @@ cli_options parse_options(int argc, char** argv, int first) {
     }
     if (options.snapshot_at.has_value() &&
         (*options.snapshot_at <= 0 ||
-         *options.snapshot_at >= sci::days(sci::observation_days))) {
-        std::cerr << "--snapshot-at must fall inside the "
-                  << sci::observation_days << "-day window\n";
+         *options.snapshot_at >= sci::days(options.days))) {
+        std::cerr << "--snapshot-at must fall inside the " << options.days
+                  << "-day window\n";
         std::exit(2);
     }
     return options;
@@ -168,28 +191,23 @@ resolved_run resolve_run(const cli_options& options) {
         std::cout << "scenario " << spec.name
                   << (spec.description.empty() ? "" : ": " + spec.description)
                   << "\n";
-        // Explicit CLI flags still win over the scenario file.
-        if (options.scale_set) run.config.scenario.scale = options.scale;
-        if (options.seed_set) {
-            run.config.scenario.seed = options.seed;
-            run.config.population.seed = options.seed;
+        // explicit CLI flags win over the scenario file
+        if (std::ranges::any_of(options.set, [](const auto& given) {
+                return given.first->section == "fault";
+            })) {
+            run.config.fault = {};
         }
-        if (options.fault_touched) run.config.fault = options.fault;
+        run.config = with_flags(run.config, options);
         if (!spec.regions.empty()) {
             spec.config = run.config;  // overrides become the regions' base
             run.region_specs = sci::harness::region_specs_of(spec);
         }
     } else {
-        run.config.scenario.scale = options.scale;
-        run.config.scenario.seed = options.seed;
-        run.config.population.seed = options.seed;
-        run.config.fault = options.fault;
+        run.config = ad_hoc_config(options);
         if (options.backpressure.has_value()) {
-            run.config.backpressure.mode = *options.backpressure;
-            if (run.config.backpressure.active()) {
-                run.config.backpressure.queue_capacity = 256;
-                run.config.backpressure.queue_deadline = 3600;
-            }
+            run.config.backpressure =
+                sci::backpressure_config::with_default_queue(
+                    *options.backpressure);
         }
     }
     if (run.region_specs.empty() && options.regions > 1) {
@@ -207,148 +225,117 @@ resolved_run resolve_run(const cli_options& options) {
     return run;
 }
 
-/// A finished run.  The engine lives behind a pointer because the
-/// invariant_monitor holds a reference into it for the whole window.
-struct engine_run {
-    std::unique_ptr<sci::sim_engine> engine;
-    std::vector<sci::harness::invariant_result> invariants;
-    bool invariants_ok = true;
-};
-
-engine_run run_engine(const cli_options& options,
-                      const resolved_run& resolved) {
-    const sci::engine_config& config = resolved.config;
-    engine_run run;
-    if (!options.restore_files.empty()) {
-        // resume from a checkpoint: the snapshot's embedded config wins
-        // over --scale/--seed (the state was built from it)
-        const std::filesystem::path& file = options.restore_files.front();
-        std::cout << "restoring checkpoint " << file.string()
-                  << ", resuming the 30-day window ...\n";
-        run.engine = sci::snapshot::restore(sci::snapshot::load_file(file));
-    } else {
-        std::cout << "simulating 30 days at scale " << config.scenario.scale
-                  << " (seed " << config.scenario.seed << ") ...\n";
-        run.engine = std::make_unique<sci::sim_engine>(config);
-    }
-    std::optional<sci::harness::invariant_monitor> monitor;
-    if (options.check_invariants) monitor.emplace(*run.engine, resolved.inv);
-    if (options.snapshot_at.has_value()) {
-        if (options.restore_files.empty()) run.engine->setup();
-        run.engine->run_until(*options.snapshot_at);
-        sci::snapshot::save_file(sci::snapshot::capture(*run.engine),
-                                 options.snapshot_out);
-        std::cout << "  checkpoint written to "
-                  << options.snapshot_out.string() << " at t="
-                  << *options.snapshot_at << "s\n";
-    }
-    run.engine->run();
-    const sci::run_stats& stats = run.engine->stats();
-    std::cout << "  " << run.engine->infrastructure().node_count()
-              << " nodes, " << stats.placements << " placements, "
-              << stats.deletions << " deletions, " << stats.drs_migrations
-              << " DRS migrations, " << stats.scrapes << " scrapes\n";
-    if (config.fault.enabled()) {
-        std::cout << "  faults: " << stats.host_crashes << " host crashes, "
-                  << stats.crash_victims << " victims, " << stats.ha_restarts
-                  << " HA restarts, " << stats.migration_aborts
-                  << " migration aborts\n";
-    }
-    if (monitor.has_value()) {
-        run.invariants = monitor->evaluate();
-        std::cout << "  invariants:\n";
-        for (const auto& r : run.invariants) {
-            std::cout << "    ["
-                      << (r.skipped ? "skip" : (r.passed ? "pass" : "FAIL"))
-                      << "] " << r.name
-                      << (r.detail.empty() ? "" : ": " + r.detail) << "\n";
-            run.invariants_ok = run.invariants_ok && r.passed;
-        }
-    }
-    return run;
-}
-
-/// A finished multi-region run: the region_set plus invariant outcomes.
-struct region_run {
+/// A finished run: its regions (one unless multi-region) on one shared
+/// pool, behind a pointer because the invariant monitors hold references
+/// into the engines for the whole window.
+struct finished_run {
     std::unique_ptr<sci::region_set> set;
     bool invariants_ok = true;
 };
 
-region_run run_region_set(const cli_options& options,
-                          const resolved_run& resolved) {
-    region_run run;
+finished_run run_regions(const cli_options& options,
+                         const resolved_run& resolved) {
+    const bool solo = resolved.region_specs.empty();
+    const sci::engine_config& config = resolved.config;
+    finished_run run;
     if (!options.restore_files.empty()) {
+        // resume from checkpoints (one per region, in region order): the
+        // snapshots' embedded configs win over --scale/--seed
         std::vector<sci::snapshot::engine_state> states;
-        states.reserve(options.restore_files.size());
         for (const std::filesystem::path& file : options.restore_files) {
             states.push_back(sci::snapshot::load_file(file));
+            if (solo) break;
         }
-        std::cout << "restoring " << states.size()
-                  << "-region checkpoint, resuming the 30-day window ...\n";
+        if (solo) {
+            std::cout << "restoring checkpoint "
+                      << options.restore_files.front().string();
+        } else {
+            std::cout << "restoring " << states.size() << "-region checkpoint";
+        }
+        std::cout << ", resuming the " << options.days << "-day window ...\n";
         run.set = sci::snapshot::restore_regions(states);
+    } else if (solo) {
+        std::cout << "simulating " << options.days << " days at scale "
+                  << config.scenario.scale << " (seed " << config.scenario.seed
+                  << ") ...\n";
+        run.set = std::make_unique<sci::region_set>(
+            sci::make_region_specs(config, 1));
     } else {
+        std::cout << "simulating " << options.days << " days across "
+                  << resolved.region_specs.size() << " regions (base seed "
+                  << config.scenario.seed << ") ...\n";
         run.set = std::make_unique<sci::region_set>(resolved.region_specs);
     }
     sci::region_set& set = *run.set;
-    if (options.restore_files.empty()) {
-        std::cout << "simulating 30 days across " << set.region_count()
-                  << " regions (base seed " << options.seed << ") ...\n";
-    }
+    // per-region monitors; the fleet-wide conservation check runs last
+    sci::harness::invariant_config per_region = resolved.inv;
+    per_region.cross_region_conservation = false;
     std::vector<std::unique_ptr<sci::harness::invariant_monitor>> monitors;
-    if (options.check_invariants) {
-        sci::harness::invariant_config per_region = resolved.inv;
-        per_region.cross_region_conservation = false;
-        for (std::size_t r = 0; r < set.region_count(); ++r) {
-            monitors.push_back(
-                std::make_unique<sci::harness::invariant_monitor>(
-                    set.region(r), per_region));
-        }
+    for (std::size_t r = 0; options.check_invariants && r < set.region_count();
+         ++r) {
+        monitors.push_back(std::make_unique<sci::harness::invariant_monitor>(
+            set.region(r), per_region));
     }
     if (options.snapshot_at.has_value()) {
-        // one event-time barrier checkpoints all regions consistently;
-        // one file per region, suffixed with the region's name
+        // one event-time barrier checkpoints all regions consistently; a
+        // multi-region run writes one file per region, suffixed with the
+        // region's name
         set.run_until(*options.snapshot_at);
-        for (sci::snapshot::engine_state& state : sci::snapshot::capture(set)) {
+        for (const sci::snapshot::engine_state& state :
+             solo ? std::vector{sci::snapshot::capture(set.region(0))}
+                  : sci::snapshot::capture(set)) {
             std::filesystem::path file = options.snapshot_out;
-            file += "." + state.region;
+            if (!solo) file += "." + state.region;
             sci::snapshot::save_file(state, file);
             std::cout << "  checkpoint written to " << file.string()
                       << " at t=" << *options.snapshot_at << "s\n";
         }
     }
-    set.run();
-    std::size_t nodes = 0;
-    for (std::size_t r = 0; r < set.region_count(); ++r) {
-        const sci::run_stats& rs = set.region(r).stats();
-        std::cout << "  " << set.spec(r).name << ": "
-                  << set.region(r).infrastructure().node_count() << " nodes, "
-                  << rs.placements << " placements, " << rs.drs_migrations
-                  << " DRS migrations, " << rs.host_crashes
-                  << " host crashes\n";
-        nodes += set.region(r).infrastructure().node_count();
+    set.run_until(sci::days(options.days));
+    if (solo) {
+        const sci::sim_engine& engine = set.region(0);
+        const sci::run_stats& stats = engine.stats();
+        std::cout << "  " << engine.infrastructure().node_count()
+                  << " nodes, " << stats.placements << " placements, "
+                  << stats.deletions << " deletions, " << stats.drs_migrations
+                  << " DRS migrations, " << stats.scrapes << " scrapes\n";
+        if (config.fault.enabled()) {
+            std::cout << "  faults: " << stats.host_crashes
+                      << " host crashes, " << stats.crash_victims
+                      << " victims, " << stats.ha_restarts << " HA restarts, "
+                      << stats.migration_aborts << " migration aborts\n";
+        }
+    } else {
+        std::size_t nodes = 0;
+        for (std::size_t r = 0; r < set.region_count(); ++r) {
+            const sci::run_stats& rs = set.region(r).stats();
+            std::cout << "  " << set.spec(r).name << ": "
+                      << set.region(r).infrastructure().node_count()
+                      << " nodes, " << rs.placements << " placements, "
+                      << rs.drs_migrations << " DRS migrations, "
+                      << rs.host_crashes << " host crashes\n";
+            nodes += set.region(r).infrastructure().node_count();
+        }
+        const sci::run_stats merged = set.merged_stats();
+        std::cout << "  fleet: " << nodes << " nodes, " << merged.placements
+                  << " placements, " << merged.deletions << " deletions, "
+                  << merged.drs_migrations << " DRS migrations, "
+                  << merged.scrapes << " scrapes\n";
     }
-    const sci::run_stats merged = set.merged_stats();
-    std::cout << "  fleet: " << nodes << " nodes, " << merged.placements
-              << " placements, " << merged.deletions << " deletions, "
-              << merged.drs_migrations << " DRS migrations, "
-              << merged.scrapes << " scrapes\n";
     if (options.check_invariants) {
         std::cout << "  invariants:\n";
         const auto show = [&](const sci::harness::invariant_result& r) {
-            std::cout << "    ["
-                      << (r.skipped ? "skip" : (r.passed ? "pass" : "FAIL"))
-                      << "] " << r.name
-                      << (r.detail.empty() ? "" : ": " + r.detail) << "\n";
+            std::cout << "    " << to_string(r) << "\n";
             run.invariants_ok = run.invariants_ok && r.passed;
         };
         for (std::size_t r = 0; r < set.region_count(); ++r) {
             for (sci::harness::invariant_result result :
                  monitors[r]->evaluate()) {
-                result.name = set.spec(r).name + "." + result.name;
+                if (!solo) result.name = set.spec(r).name + "." + result.name;
                 show(result);
             }
         }
-        if (resolved.inv.cross_region_conservation) {
+        if (!solo && resolved.inv.cross_region_conservation) {
             std::vector<sci::harness::conservation_snapshot> snaps;
             for (std::size_t r = 0; r < set.region_count(); ++r) {
                 snaps.push_back(
@@ -360,110 +347,107 @@ region_run run_region_set(const cli_options& options,
     return run;
 }
 
+/// Worst contention and the VM utilization classes of a store (Figures 9
+/// and 14); `contention_note` ends the contention line.
+void print_utilization(const sci::metric_store& store,
+                       std::string_view contention_note, bool vm_count) {
+    double worst_mean = 0.0, worst_max = 0.0;
+    for (const auto& day : sci::fig9_contention_by_day(store)) {
+        worst_mean = std::max(worst_mean, day.mean_pct);
+        worst_max = std::max(worst_max, day.max_pct);
+    }
+    std::cout << "-- contention -- worst daily mean "
+              << sci::format_double(worst_mean) << "%, worst node max "
+              << sci::format_double(worst_max) << "%" << contention_note
+              << "\n";
+    const auto print = [](std::string_view resource, const auto& classes) {
+        std::cout << "-- VM " << resource << " util -- "
+                  << sci::format_double(classes.under_pct) << "% under / "
+                  << sci::format_double(classes.optimal_pct) << "% optimal / "
+                  << sci::format_double(classes.over_pct) << "% over";
+    };
+    const auto cpu = sci::fig14a_cpu_utilization(store);
+    print("CPU", cpu.classes);
+    if (vm_count) std::cout << " (" << cpu.classes.vm_count << " VMs)";
+    std::cout << "\n";
+    print("mem", sci::fig14b_memory_utilization(store).classes);
+    std::cout << "\n";
+}
+
 int cmd_simulate(const cli_options& options) {
     const resolved_run resolved = resolve_run(options);
-    if (!resolved.region_specs.empty()) {
-        const region_run run = run_region_set(options, resolved);
-        sci::region_set& set = *run.set;
-        std::cout << "exporting per-region datasets + fleet aggregation to "
-                  << options.out_dir << " ...\n";
-        const sci::region_export_report report =
-            set.export_datasets(options.out_dir);
-        std::size_t events = 0;
-        for (std::size_t r = 0; r < set.region_count(); ++r) {
-            events += sci::export_events_csv(
-                set.region(r).events(),
-                options.out_dir / set.spec(r).name / "events.csv");
-        }
-        std::cout << "  " << report.combined.metrics_exported
-                  << " metrics, " << report.combined.series_exported
-                  << " series, " << report.combined.daily_rows
-                  << " daily rows, " << events << " scheduling events across "
-                  << set.region_count() << " regions\n";
+    const finished_run run = run_regions(options, resolved);
+    sci::region_set& set = *run.set;
+    if (resolved.region_specs.empty()) {
+        std::cout << "exporting dataset to " << options.out_dir << " ...\n";
+        const auto report =
+            sci::export_dataset(set.region(0).store(), options.out_dir);
+        const std::size_t events = sci::export_events_csv(
+            set.region(0).events(), options.out_dir / "events.csv");
+        std::cout << "  " << report.metrics_exported << " metrics, "
+                  << report.series_exported << " series, "
+                  << report.daily_rows << " daily rows, " << events
+                  << " scheduling events\n";
         return run.invariants_ok ? 0 : 1;
     }
-    const engine_run run = run_engine(options, resolved);
-    const sci::sim_engine& engine = *run.engine;
-    std::cout << "exporting dataset to " << options.out_dir << " ...\n";
-    const auto report = sci::export_dataset(engine.store(), options.out_dir);
-    const std::size_t events = sci::export_events_csv(
-        engine.events(), options.out_dir / "events.csv");
-    std::cout << "  " << report.metrics_exported << " metrics, "
-              << report.series_exported << " series, " << report.daily_rows
-              << " daily rows, " << events << " scheduling events\n";
+    std::cout << "exporting per-region datasets + fleet aggregation to "
+              << options.out_dir << " ...\n";
+    const sci::region_export_report report =
+        set.export_datasets(options.out_dir);
+    std::size_t events = 0;
+    for (std::size_t r = 0; r < set.region_count(); ++r) {
+        events += sci::export_events_csv(
+            set.region(r).events(),
+            options.out_dir / set.spec(r).name / "events.csv");
+    }
+    std::cout << "  " << report.combined.metrics_exported << " metrics, "
+              << report.combined.series_exported << " series, "
+              << report.combined.daily_rows << " daily rows, " << events
+              << " scheduling events across " << set.region_count()
+              << " regions\n";
     return run.invariants_ok ? 0 : 1;
 }
 
 int cmd_report(const cli_options& options) {
     const resolved_run resolved = resolve_run(options);
-    if (!resolved.region_specs.empty()) {
-        // Multi-region report: per-region and fleet-wide scheduling
-        // summaries (the per-node figures stay a single-region view).
-        const region_run run = run_region_set(options, resolved);
-        sci::region_set& set = *run.set;
-        std::uint64_t creates = 0, removes = 0, migrations = 0, evacs = 0;
-        for (std::size_t r = 0; r < set.region_count(); ++r) {
-            const sci::event_log& events = set.region(r).events();
-            creates += events.count(sci::lifecycle_event_kind::create);
-            removes += events.count(sci::lifecycle_event_kind::remove);
-            migrations += events.count(sci::lifecycle_event_kind::migrate);
-            evacs += events.count(sci::lifecycle_event_kind::evacuate);
+    const finished_run run = run_regions(options, resolved);
+    sci::region_set& set = *run.set;
+    const bool solo = resolved.region_specs.empty();
+    if (solo) {
+        sci::sim_engine& engine = set.region(0);
+        if (!options.markdown_file.empty()) {
+            std::ofstream out(options.markdown_file);
+            if (!out.good()) {
+                std::cerr << "cannot write " << options.markdown_file << "\n";
+                return 1;
+            }
+            sci::write_markdown_report(out, engine);
+            std::cout << "wrote markdown report to " << options.markdown_file
+                      << "\n";
+            return run.invariants_ok ? 0 : 1;
         }
-        std::cout << "-- fleet events -- creates " << creates << ", deletes "
-                  << removes << ", migrations " << migrations
-                  << ", evacuations " << evacs << "\n";
-        return run.invariants_ok ? 0 : 1;
+        const sci::fleet& fleet = engine.infrastructure();
+        const sci::dc_id dc = fleet.dcs().front().id;
+        std::cout << "\n-- Figure 5: % free CPU per node ("
+                  << fleet.get(dc).name << ") --\n"
+                  << render_heatmap_ascii(
+                         sci::fig5_free_cpu_per_node(engine.store(), fleet, dc));
+        std::cout << "\n";
+        print_utilization(engine.store(), " (paper: <5% / >40%)", false);
     }
-    const engine_run run = run_engine(options, resolved);
-    sci::sim_engine& engine = *run.engine;
-    if (!options.markdown_file.empty()) {
-        std::ofstream out(options.markdown_file);
-        if (!out.good()) {
-            std::cerr << "cannot write " << options.markdown_file << "\n";
-            return 1;
-        }
-        sci::write_markdown_report(out, engine);
-        std::cout << "wrote markdown report to " << options.markdown_file
-                  << "\n";
-        return run.invariants_ok ? 0 : 1;
+    // a multi-region report stops at the scheduling summaries: the
+    // per-node figures stay a single-region view
+    std::uint64_t creates = 0, removes = 0, migrations = 0, evacs = 0;
+    for (std::size_t r = 0; r < set.region_count(); ++r) {
+        const sci::event_log& events = set.region(r).events();
+        creates += events.count(sci::lifecycle_event_kind::create);
+        removes += events.count(sci::lifecycle_event_kind::remove);
+        migrations += events.count(sci::lifecycle_event_kind::migrate);
+        evacs += events.count(sci::lifecycle_event_kind::evacuate);
     }
-    const sci::fleet& fleet = engine.infrastructure();
-    const sci::dc_id dc = fleet.dcs().front().id;
-
-    std::cout << "\n-- Figure 5: % free CPU per node ("
-              << fleet.get(dc).name << ") --\n"
-              << render_heatmap_ascii(
-                     sci::fig5_free_cpu_per_node(engine.store(), fleet, dc));
-
-    double worst_mean = 0.0, worst_max = 0.0;
-    for (const auto& day : sci::fig9_contention_by_day(engine.store())) {
-        worst_mean = std::max(worst_mean, day.mean_pct);
-        worst_max = std::max(worst_max, day.max_pct);
-    }
-    std::cout << "\n-- contention -- worst daily mean "
-              << sci::format_double(worst_mean) << "%, worst node max "
-              << sci::format_double(worst_max) << "% (paper: <5% / >40%)\n";
-
-    const auto cpu = sci::fig14a_cpu_utilization(engine.store());
-    const auto mem = sci::fig14b_memory_utilization(engine.store());
-    std::cout << "-- VM CPU util -- " << sci::format_double(cpu.classes.under_pct)
-              << "% under / " << sci::format_double(cpu.classes.optimal_pct)
-              << "% optimal / " << sci::format_double(cpu.classes.over_pct)
-              << "% over\n";
-    std::cout << "-- VM mem util -- " << sci::format_double(mem.classes.under_pct)
-              << "% under / " << sci::format_double(mem.classes.optimal_pct)
-              << "% optimal / " << sci::format_double(mem.classes.over_pct)
-              << "% over\n";
-
-    std::cout << "-- events -- creates "
-              << engine.events().count(sci::lifecycle_event_kind::create)
-              << ", deletes "
-              << engine.events().count(sci::lifecycle_event_kind::remove)
-              << ", migrations "
-              << engine.events().count(sci::lifecycle_event_kind::migrate)
-              << ", evacuations "
-              << engine.events().count(sci::lifecycle_event_kind::evacuate)
-              << "\n";
+    std::cout << (solo ? "-- events" : "-- fleet events") << " -- creates "
+              << creates << ", deletes " << removes << ", migrations "
+              << migrations << ", evacuations " << evacs << "\n";
     return run.invariants_ok ? 0 : 1;
 }
 
@@ -473,24 +457,7 @@ int cmd_analyze(const cli_options& options) {
     std::cout << "  " << store.series_count() << " series, "
               << store.total_samples() << " samples (daily aggregates)\n\n";
 
-    double worst_mean = 0.0, worst_max = 0.0;
-    for (const auto& day : sci::fig9_contention_by_day(store)) {
-        worst_mean = std::max(worst_mean, day.mean_pct);
-        worst_max = std::max(worst_max, day.max_pct);
-    }
-    std::cout << "-- contention -- worst daily mean "
-              << sci::format_double(worst_mean) << "%, worst node max "
-              << sci::format_double(worst_max) << "%\n";
-    const auto cpu = sci::fig14a_cpu_utilization(store);
-    const auto mem = sci::fig14b_memory_utilization(store);
-    std::cout << "-- VM CPU util -- " << sci::format_double(cpu.classes.under_pct)
-              << "% under / " << sci::format_double(cpu.classes.optimal_pct)
-              << "% optimal / " << sci::format_double(cpu.classes.over_pct)
-              << "% over (" << cpu.classes.vm_count << " VMs)\n";
-    std::cout << "-- VM mem util -- " << sci::format_double(mem.classes.under_pct)
-              << "% under / " << sci::format_double(mem.classes.optimal_pct)
-              << "% optimal / " << sci::format_double(mem.classes.over_pct)
-              << "% over\n";
+    print_utilization(store, "", true);
     // events, if exported
     const auto events_file = options.out_dir / "events.csv";
     if (std::filesystem::exists(events_file)) {
@@ -508,8 +475,8 @@ int cmd_advisor(const cli_options& options) {
                      "--regions\n";
         return 2;
     }
-    const engine_run run = run_engine(options, resolved);
-    const sci::sim_engine& engine = *run.engine;
+    const finished_run run = run_regions(options, resolved);
+    const sci::sim_engine& engine = run.set->region(0);
     const auto recs = sci::recommend_cpu_overcommit(
         engine.store(), engine.infrastructure(), engine.placement(), {});
     sci::table_printer table({"building block", "purpose", "current ratio",
@@ -543,6 +510,8 @@ int cmd_fleet() {
 void usage() {
     std::cout << "usage: scisim <simulate|report|analyze|advisor|fleet> "
                  "[--scale S] [--seed N] [--out DIR] [--markdown FILE]\n"
+                 "  SCI_BENCH_DAYS=N          play only the first N days of "
+                 "the window\n"
                  "scenario harness (sci::harness):\n"
                  "  --scenario FILE           run a *.scn scenario file "
                  "(engine + fault\n"

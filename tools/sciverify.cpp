@@ -30,6 +30,7 @@
 
 #include "harness/harness.hpp"
 #include "harness/scenario_dsl.hpp"
+#include "simcore/parse.hpp"
 
 namespace {
 
@@ -74,36 +75,39 @@ std::vector<std::filesystem::path> collect_scenarios(
 int main(int argc, char** argv) {
     sci::harness::run_options options;
     std::vector<std::filesystem::path> inputs;
-    if (const char* env = std::getenv("SCI_BENCH_DAYS")) {
-        options.days = std::max(0, std::atoi(env));
-    }
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << arg << "\n";
-                std::exit(2);
+    try {
+        options.days = sci::bench_days_cap();
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const auto next = [&]() -> const char* {
+                if (i + 1 >= argc) {
+                    std::cerr << "missing value for " << arg << "\n";
+                    std::exit(2);
+                }
+                return argv[++i];
+            };
+            if (arg == "--record") {
+                options.record_trace = true;
+            } else if (arg == "--days") {
+                options.days = sci::parse_number<int>(next(), arg);
+            } else if (arg == "--threads") {
+                options.threads = sci::parse_number<unsigned>(next(), arg);
+            } else if (arg == "--watch") {
+                options.watch = true;
+            } else if (arg == "--help" || arg == "-h") {
+                usage();
+                return 0;
+            } else if (!arg.empty() && arg[0] == '-') {
+                std::cerr << "unknown option: " << arg << "\n";
+                usage();
+                return 2;
+            } else {
+                inputs.emplace_back(arg);
             }
-            return argv[++i];
-        };
-        if (arg == "--record") {
-            options.record_trace = true;
-        } else if (arg == "--days") {
-            options.days = std::atoi(next());
-        } else if (arg == "--threads") {
-            options.threads = static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--watch") {
-            options.watch = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown option: " << arg << "\n";
-            usage();
-            return 2;
-        } else {
-            inputs.emplace_back(arg);
         }
+    } catch (const sci::error& e) {
+        std::cerr << e.what() << "\n";
+        return 2;
     }
     if (inputs.empty()) {
         usage();
@@ -125,11 +129,7 @@ int main(int argc, char** argv) {
                       << spec.invariants.count() << " invariants) ...\n";
             auto outcome = sci::harness::run_scenario(spec, options);
             for (const auto& r : outcome.invariants) {
-                std::cerr << "  ["
-                          << (r.skipped ? "skip" : (r.passed ? "pass" : "FAIL"))
-                          << "] " << r.name
-                          << (r.detail.empty() ? "" : ": " + r.detail)
-                          << "\n";
+                std::cerr << "  " << to_string(r) << "\n";
             }
             if (outcome.replay != sci::harness::replay_status::none) {
                 std::cerr << "  replay: " << to_string(outcome.replay)
