@@ -41,6 +41,17 @@ std::vector<bench_entry> parse_bench_json(std::string_view text) {
         // 3 fields = a pre-RSS writer's line; keep peak_rss_mib at 0
         if (got_fields >= 3) {
             e.name = name;
+            // host metadata is optional: older lines carry none
+            if (const auto at = line.find("\"nproc\": "); at != std::string::npos) {
+                std::sscanf(line.c_str() + at, "\"nproc\": %u", &e.nproc);
+            }
+            if (const auto at = line.find("\"build\": \""); at != std::string::npos) {
+                char build[64];
+                if (std::sscanf(line.c_str() + at, "\"build\": \"%63[^\"]\"",
+                                build) == 1) {
+                    e.build_type = build;
+                }
+            }
             upsert(entries, e);  // duplicate keys collapse, last wins
         }
     }
@@ -56,13 +67,20 @@ std::string render_bench_json(const std::vector<bench_entry>& entries) {
     std::string out = "{\n  \"benchmarks\": [\n";
     char line[512];
     for (std::size_t i = 0; i < entries.size(); ++i) {
+        const bench_entry& e = entries[i];
         std::snprintf(line, sizeof line,
                       "    {\"name\": \"%s\", \"wall_ms\": %.3f, "
-                      "\"samples_per_s\": %.0f, \"peak_rss_mib\": %.1f}%s\n",
-                      entries[i].name.c_str(), entries[i].wall_ms,
-                      entries[i].samples_per_s, entries[i].peak_rss_mib,
-                      i + 1 < entries.size() ? "," : "");
+                      "\"samples_per_s\": %.0f, \"peak_rss_mib\": %.1f",
+                      e.name.c_str(), e.wall_ms, e.samples_per_s,
+                      e.peak_rss_mib);
         out += line;
+        if (e.nproc > 0) {
+            std::snprintf(line, sizeof line,
+                          ", \"nproc\": %u, \"build\": \"%s\"", e.nproc,
+                          e.build_type.c_str());
+            out += line;
+        }
+        out += i + 1 < entries.size() ? "},\n" : "}\n";
     }
     out += "  ]\n}\n";
     return out;

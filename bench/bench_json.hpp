@@ -23,6 +23,10 @@ struct bench_entry {
     /// Peak resident set (VmHWM) of the process when the measurement was
     /// recorded, in MiB; 0 when unavailable (non-Linux).
     double peak_rss_mib = 0.0;
+    /// Host the measurement ran on: online core count and CMake build
+    /// type.  0 / empty for lines written before they were recorded.
+    unsigned nproc = 0;
+    std::string build_type;
 };
 
 /// Parse a summary previously written by render_bench_json.  The format is

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -60,9 +61,9 @@ void record_bench(std::string_view name, double wall_ms, double samples_per_s) {
     if (bench_results().empty()) std::atexit(write_bench_json);
     // peak RSS is stamped at record time, so every bench entry carries the
     // process high-water mark its measurement actually ran under
-    bench_results().push_back(bench_entry{std::string(name), wall_ms,
-                                          samples_per_s,
-                                          process_peak_rss_mib()});
+    bench_results().push_back(bench_entry{
+        std::string(name), wall_ms, samples_per_s, process_peak_rss_mib(),
+        std::thread::hardware_concurrency(), SCI_BENCH_BUILD_TYPE});
 }
 
 double ms_since(std::chrono::steady_clock::time_point begin) {

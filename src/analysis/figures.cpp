@@ -368,7 +368,7 @@ imbalance_summary intra_bb_imbalance(const metric_store& store, const fleet& f) 
     for (const auto& [name, ids] : by_bb) {
         if (ids.size() < 2) continue;
         for (int day = 0; day < store.config().days; ++day) {
-            running_stats day_utils;
+            welford_stats day_utils;
             double lo = std::numeric_limits<double>::infinity();
             double hi = -std::numeric_limits<double>::infinity();
             for (series_id id : ids) {

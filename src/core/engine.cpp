@@ -888,6 +888,10 @@ void sim_engine::scrape(sim_time t) {
     const std::size_t n_active = active_slots_.size();
     scrape_cpu_col_.resize(n_active);
     scrape_mem_col_.resize(n_active);
+    // the t-only behaviour terms, once for every VM; new slots join the
+    // cache column unset and fill on their first refresh below
+    const behavior_instant instant = behavior_instant::at(t);
+    slot_behavior_cache_.resize(slot_behavior_.size());
 
     // --- stage 1 (parallel): per-VM demand into fixed shards ------------
     // The active list is split by scrape_shard_count — never by worker
@@ -906,9 +910,12 @@ void sim_engine::scrape(sim_time t) {
                 const std::uint32_t slot = active_slots_[i];
                 const flavor& fl = *slot_flavor_[slot];
                 const vm_behavior& b = slot_behavior_[slot];
-                const double cpu_ratio = b.cpu_ratio_at(t);
+                // each slot sits in exactly one shard: writes are disjoint
+                behavior_cache& cache = slot_behavior_cache_[slot];
+                cache.refresh(b, instant);
+                const double cpu_ratio = cache.cpu_ratio(b, instant);
                 const double mem_ratio =
-                    b.mem_ratio_at(t, t - slot_created_[slot]);
+                    cache.mem_ratio(b, instant, t - slot_created_[slot]);
                 // pinned-QoS VMs hold dedicated cores; others share the pool
                 const double shared_cores =
                     fl.cpu_pinned ? 0.0
@@ -917,7 +924,8 @@ void sim_engine::scrape(sim_time t) {
                 d.add(shared_cores,
                       static_cast<mebibytes>(mem_ratio *
                                              static_cast<double>(fl.ram_mib)),
-                      b.tx_at(t), b.rx_at(t), b.disk_fill * fl.disk_gib);
+                      cache.tx(b, instant), cache.rx(b, instant),
+                      b.disk_fill * fl.disk_gib);
                 if (fl.cpu_pinned) {
                     d.pinned_cores += static_cast<double>(fl.vcpus);
                 }
@@ -1069,8 +1077,20 @@ void sim_engine::scrape(sim_time t) {
 }
 
 void sim_engine::drs_pass(sim_time t) {
-    const vm_cpu_demand_fn demand = [this, t](vm_id vm) {
-        return vm_cpu_demand_cores(vm, t);
+    // Read the scrape's behaviour cache where it holds this instant's
+    // buckets, else evaluate purely — the same value either way.  The
+    // per-cluster plans run in parallel and a migrating VM may be listed
+    // in two clusters, so DRS only ever reads the cache.
+    const behavior_instant instant = behavior_instant::at(t);
+    const vm_cpu_demand_fn demand = [this, t, &instant](vm_id vm) {
+        const std::uint32_t slot = slot_of(vm);
+        if (slot == no_slot || slot >= slot_behavior_cache_.size() ||
+            !slot_behavior_cache_[slot].current(instant)) {
+            return vm_cpu_demand_cores(vm, t);
+        }
+        return slot_behavior_cache_[slot].cpu_ratio(slot_behavior_[slot],
+                                                    instant) *
+               static_cast<double>(slot_flavor_[slot]->vcpus);
     };
     const vm_flavor_fn flavor_of = [this](vm_id vm) -> const flavor& {
         return scenario_.catalog.get(vms_.get(vm).flavor);
@@ -1093,9 +1113,8 @@ void sim_engine::drs_pass(sim_time t) {
     // Fan the per-cluster *planning* across the pool: plan_rebalance is
     // const — each cluster's plan is computed against a frozen copy of its
     // node runtimes, so the fan-out never mutates shared placement state
-    // (the demand/flavor oracles stay pure per VM; a VM resides in exactly
-    // one cluster, so even the lazy behavior-cache fills land in disjoint
-    // slots pre-sized at setup).
+    // (the demand/flavor oracles stay pure per VM and only read shared
+    // columns).
     drs_moved_buf_.resize(clusters_.size());
     run_sharded(clusters_.size(),
                 [&](unsigned, std::size_t begin, std::size_t end) {
@@ -1671,6 +1690,7 @@ void sim_engine::active_insert(vm_id vm) {
     slot_mem_series_[slot] = series_id{};
     slot_behavior_[slot] = behaviors_.sample(
         vm, scenario_.catalog.get(rec.flavor), rec.project);
+    if (slot < slot_behavior_cache_.size()) slot_behavior_cache_[slot].reset();
 
     // keep the canonical walk order: active_slots_ is sorted by vm id
     const auto it = std::lower_bound(
@@ -1706,6 +1726,7 @@ void sim_engine::slot_reflavor(const vm_record& rec) {
     slot_flavor_[slot] = &scenario_.catalog.get(rec.flavor);
     slot_behavior_[slot] = behaviors_.sample(
         rec.id, scenario_.catalog.get(rec.flavor), rec.project);
+    if (slot < slot_behavior_cache_.size()) slot_behavior_cache_[slot].reset();
 }
 
 // ---------------------------------------------------------------------------

@@ -495,6 +495,11 @@ private:
     std::vector<series_id> slot_cpu_series_;
     std::vector<series_id> slot_mem_series_;
     std::vector<vm_behavior> slot_behavior_;  ///< sampled eagerly on fill
+    /// Noise bucket endpoints per slot, refreshed by the scrape loop and
+    /// read (never written) by DRS.  Allocated at the first scrape, so
+    /// runs without scrapes pay nothing; reset on every slot fill; never
+    /// serialized (pure in seed and bucket, a restored engine refills it).
+    std::vector<behavior_cache> slot_behavior_cache_;
     /// Slots of active VMs ordered by ascending vm id (the canonical
     /// scrape/append order).
     std::vector<std::uint32_t> active_slots_;

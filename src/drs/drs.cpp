@@ -84,7 +84,7 @@ double drs_cluster::node_demand_cores(const node_runtime& nr,
 }
 
 double drs_cluster::imbalance(const vm_cpu_demand_fn& demand) const {
-    running_stats utils;
+    welford_stats utils;
     for (const node_runtime& nr : nodes_) {
         const double cap = static_cast<double>(nr.profile().pcpu_cores);
         utils.add(node_demand_cores(nr, demand) / cap);
@@ -113,7 +113,7 @@ std::vector<drs_migration> drs_cluster::plan_rebalance(
         return demands[i] / static_cast<double>(view[i].profile().pcpu_cores);
     };
     const auto stddev_util = [&] {
-        running_stats s;
+        welford_stats s;
         for (std::size_t i = 0; i < view.size(); ++i) s.add(util(i));
         return s.stddev();
     };

@@ -8,23 +8,12 @@
 
 namespace sci {
 
-void running_stats::add(double x) {
-    ++count_;
-    sum_ += x;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-}
-
 running_stats running_stats::from_moments(std::uint64_t count, double mean,
                                            double min, double max) {
     expects(count == 0 || min <= max, "from_moments: min must not exceed max");
     running_stats s;
     if (count == 0) return s;
     s.count_ = count;
-    s.mean_ = mean;
     s.sum_ = mean * static_cast<double>(count);
     s.min_ = min;
     s.max_ = max;
@@ -37,24 +26,25 @@ void running_stats::merge(const running_stats& other) {
         *this = other;
         return;
     }
-    const double na = static_cast<double>(count_);
-    const double nb = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    const double n = na + nb;
-    m2_ += other.m2_ + delta * delta * na * nb / n;
-    mean_ = (na * mean_ + nb * other.mean_) / n;
     count_ += other.count_;
     sum_ += other.sum_;
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
 }
 
-double running_stats::variance() const {
+void welford_stats::add(double x) {
+    ++count_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (x - mean_);
+}
+
+double welford_stats::variance() const {
     if (count_ < 2) return 0.0;
     return m2_ / static_cast<double>(count_);
 }
 
-double running_stats::stddev() const { return std::sqrt(variance()); }
+double welford_stats::stddev() const { return std::sqrt(variance()); }
 
 p2_quantile::p2_quantile(double quantile) : quantile_(quantile) {
     expects(quantile > 0.0 && quantile < 1.0, "p2_quantile: quantile in (0,1)");

@@ -1,12 +1,17 @@
 #pragma once
 
 // Streaming statistics used by telemetry compaction and the analysis layer:
-//   - running_stats: count/sum/min/max/mean/variance (Welford)
+//   - running_stats: count/sum/min/max — the fields a Thanos downsampled
+//                    chunk keeps per bucket, and all the store keeps per
+//                    day/hour slot (mean = sum / count)
+//   - welford_stats: count/mean/variance (Welford) for the few analyses
+//                    that need a spread (DRS imbalance, intra-BB stddev)
 //   - p2_quantile:   constant-memory quantile sketch (Jain & Chlamtac '85),
 //                    used for the daily p95 contention series of Figure 9
 //   - histogram:     fixed-width bins over a known range
 //   - empirical CDF helpers for Figure 14
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -16,14 +21,18 @@
 
 namespace sci {
 
-/// Constant-memory accumulator of basic moments and extrema.
+/// Constant-memory accumulator of count, sum and extrema.
 class running_stats {
 public:
-    void add(double x);
+    void add(double x) {
+        ++count_;
+        sum_ += x;
+        min_ = std::min(min_, x);
+        max_ = std::max(max_, x);
+    }
 
     /// Reconstruct an accumulator from stored moments (count/mean/min/max),
-    /// e.g. when re-ingesting exported daily aggregates.  The squared
-    /// deviations are not recoverable, so variance() of the result is 0.
+    /// e.g. when re-ingesting exported daily aggregates.
     static running_stats from_moments(std::uint64_t count, double mean,
                                       double min, double max);
 
@@ -34,35 +43,25 @@ public:
     double sum() const { return sum_; }
     /// Mean of added values; 0 when empty.
     double mean() const { return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_); }
-    /// Population variance; 0 when fewer than 2 samples.
-    double variance() const;
-    double stddev() const;
     /// Minimum; +inf when empty.
     double min() const { return min_; }
     /// Maximum; -inf when empty.
     double max() const { return max_; }
     bool empty() const { return count_ == 0; }
 
-    /// Exact internal state for checkpointing.  Unlike from_moments this
-    /// round-trips the Welford accumulators bitwise, so variance — and
-    /// every future add() — continues exactly where the original left off.
+    /// Exact internal state for checkpointing: restoring it continues
+    /// every future add() and merge() bit for bit.
     struct exact_state {
         std::uint64_t count = 0;
         double sum = 0.0;
-        double m2 = 0.0;
-        double mean = 0.0;
         double min = 0.0;
         double max = 0.0;
     };
-    exact_state exact() const {
-        return {count_, sum_, m2_, mean_, min_, max_};
-    }
+    exact_state exact() const { return {count_, sum_, min_, max_}; }
     static running_stats from_exact(const exact_state& s) {
         running_stats r;
         r.count_ = s.count;
         r.sum_ = s.sum;
-        r.m2_ = s.m2;
-        r.mean_ = s.mean;
         r.min_ = s.min;
         r.max_ = s.max;
         return r;
@@ -71,10 +70,26 @@ public:
 private:
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
-    double m2_ = 0.0;    // Welford sum of squared deviations
-    double mean_ = 0.0;  // Welford running mean
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
+};
+
+/// Welford accumulator of mean and population variance.
+class welford_stats {
+public:
+    void add(double x);
+
+    std::uint64_t count() const { return count_; }
+    /// Mean of added values; 0 when empty.
+    double mean() const { return mean_; }
+    /// Population variance; 0 when fewer than 2 samples.
+    double variance() const;
+    double stddev() const;
+
+private:
+    std::uint64_t count_ = 0;
+    double mean_ = 0.0;
+    double m2_ = 0.0;  // sum of squared deviations from the mean
 };
 
 /// P² single-quantile estimator: O(1) memory, good accuracy for the smooth

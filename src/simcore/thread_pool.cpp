@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "simcore/error.hpp"
+#include "simcore/parse.hpp"
 
 namespace sci {
 
@@ -51,8 +52,7 @@ std::pair<std::size_t, std::size_t> thread_pool::shard(std::size_t begin,
 unsigned thread_pool::env_threads() {
     const char* v = std::getenv("SCI_THREADS");
     if (v == nullptr || *v == '\0') return 0;
-    const long parsed = std::strtol(v, nullptr, 10);
-    return parsed > 0 ? static_cast<unsigned>(parsed) : 0;
+    return parse_number<unsigned>(v, "SCI_THREADS");
 }
 
 void thread_pool::parallel_for(std::size_t begin, std::size_t end,

@@ -93,7 +93,8 @@ public:
                                                      unsigned count);
 
     /// Worker count requested via the SCI_THREADS environment variable
-    /// (unset, empty, or unparsable = 0 = serial).
+    /// (unset or empty = 0 = serial).  Anything but a non-negative
+    /// integer throws sci::error naming the variable.
     static unsigned env_threads();
 
 private:

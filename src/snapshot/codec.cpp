@@ -259,7 +259,7 @@ void codec(auto& io, of<node_state_row> auto& n) {
 }
 
 void codec(auto& io, of<running_stats::exact_state> auto& s) {
-    fields(io, s.count, s.sum, s.m2, s.mean, s.min, s.max);
+    fields(io, s.count, s.sum, s.min, s.max);
 }
 
 void codec(auto& io, of<sample> auto& s) {

@@ -53,7 +53,7 @@ namespace snapshot {
 /// Serialized-format version.  deserialize() reads only this version:
 /// snapshots are transient artifacts, so one from an older or newer build
 /// fails with a precise error instead of misinterpreting bytes.
-inline constexpr std::uint32_t format_version = 4;
+inline constexpr std::uint32_t format_version = 5;
 
 /// Raised by the codec on malformed input: wrong magic, other version,
 /// truncation, or checksum mismatch.  Never undefined behaviour — every

@@ -44,7 +44,16 @@ std::optional<series_id> metric_store::find_series(std::string_view metric,
     return it->second;
 }
 
-running_stats& metric_store::daily_slot(series_data& s, int day) {
+inline running_stats& metric_store::daily_slot(series_data& s, int day) {
+    // fast path: a live append lands in an existing slot (the current day)
+    if (s.daily_first >= 0 && day >= s.daily_first) {
+        const auto idx = static_cast<std::size_t>(day - s.daily_first);
+        if (idx < s.daily.size()) return s.daily[idx];
+    }
+    return grow_daily(s, day);
+}
+
+running_stats& metric_store::grow_daily(series_data& s, int day) {
     if (s.daily_first < 0) {
         s.daily_first = day;
         s.daily.emplace_back();
@@ -57,9 +66,8 @@ running_stats& metric_store::daily_slot(series_data& s, int day) {
                        static_cast<std::size_t>(s.daily_first - day),
                        running_stats{});
         s.daily_first = day;
-    } else if (const auto idx = static_cast<std::size_t>(day - s.daily_first);
-               idx >= s.daily.size()) {
-        s.daily.resize(idx + 1);
+    } else {
+        s.daily.resize(static_cast<std::size_t>(day - s.daily_first) + 1);
     }
     return s.daily[static_cast<std::size_t>(day - s.daily_first)];
 }

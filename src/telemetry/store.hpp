@@ -212,7 +212,10 @@ private:
     void apply_append(series_data& s, sim_time t, double value,
                       shard_counters& counters);
     const series_data& series_at(series_id id) const;
+    /// Day slot of a series: inline for the existing-slot case, growing
+    /// the sparse range out of line otherwise.
     running_stats& daily_slot(series_data& s, int day);
+    running_stats& grow_daily(series_data& s, int day);
 
     metric_registry registry_;
     store_config config_;

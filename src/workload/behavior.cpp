@@ -22,27 +22,48 @@ double bucket_hash(std::uint64_t seed, std::int64_t bucket) {
 
 double smoothstep(double x) { return x * x * (3.0 - 2.0 * x); }
 
-/// Diurnal × weekly multiplicative curve, normalized to mean 1 over a
-/// week so a VM's realized average utilization matches its sampled mean.
-double weekly_curve(sim_time t, double amplitude) {
-    // business-hours sine peaking at 14:00 local; zero-mean over a day
-    const double hour = static_cast<double>(second_of_day(t)) / 3600.0;
-    const double day_shape =
-        std::sin((hour - 8.0) / 24.0 * 2.0 * std::numbers::pi);
-    double v = 1.0 + amplitude * day_shape;
-    if (is_weekend(t)) v *= cal::weekend_activity_factor;
-    // weekly mean of the weekend dip: (5 + 2*f) / 7
-    constexpr double weekly_mean = (5.0 + 2.0 * cal::weekend_activity_factor) / 7.0;
-    return v / weekly_mean;
+/// Bucket of a continuous bucket coordinate and the smoothstep of the
+/// offset inside it.
+void bucket_coordinate(double pos, std::int64_t& bucket, double& step) {
+    const double floor_pos = std::floor(pos);
+    bucket = static_cast<std::int64_t>(floor_pos);
+    step = smoothstep(pos - floor_pos);
 }
 
-/// Multiplicative two-octave noise, mean ≈ 1.
-double noise_curve(std::uint64_t seed, sim_time t, double amplitude) {
-    const double fast = smooth_hash_noise(seed, static_cast<double>(t) / 3600.0);
-    const double slow =
-        smooth_hash_noise(splitmix64(seed), static_cast<double>(t) / 21600.0);
-    const double blended = 0.6 * fast + 0.4 * slow;  // in [0, 1)
-    return 1.0 + amplitude * (2.0 * blended - 1.0);
+/// The bucket terms of behavior_instant::at — all that streams without
+/// the weekly curve (memory) need.
+behavior_instant bucket_instant(sim_time t) {
+    behavior_instant in;
+    bucket_coordinate(static_cast<double>(t) / 3600.0, in.fast_bucket,
+                      in.fast_step);
+    bucket_coordinate(static_cast<double>(t) / 21600.0, in.slow_bucket,
+                      in.slow_step);
+    in.burst_bucket = t / minutes(30);
+    return in;
+}
+
+/// Fast-octave seed of one noise stream (the slow octave hashes with
+/// splitmix64 of it).
+std::uint64_t stream_seed(std::uint64_t seed, unsigned stream) {
+    switch (stream) {
+        case vm_behavior::cpu_stream: return seed;
+        case vm_behavior::mem_stream: return splitmix64(seed ^ 0x6d5f3c1b2a498675ULL);
+        case vm_behavior::tx_stream: return splitmix64(seed ^ 0x1f83d9abfb41bd6bULL);
+        default: return splitmix64(seed ^ 0x5be0cd19137e2179ULL);
+    }
+}
+
+std::uint64_t burst_stream_seed(std::uint64_t burst_seed) {
+    return splitmix64(burst_seed ^ 0xb5297a4d3f2c1e0bULL);
+}
+
+noise_endpoints hashed_endpoints(std::uint64_t seed,
+                                 const behavior_instant& in) {
+    const std::uint64_t slow_seed = splitmix64(seed);
+    return {bucket_hash(seed, in.fast_bucket),
+            bucket_hash(seed, in.fast_bucket + 1),
+            bucket_hash(slow_seed, in.slow_bucket),
+            bucket_hash(slow_seed, in.slow_bucket + 1)};
 }
 
 /// Heavy-tailed burst multiplier for bursty VMs: per-30-minute bucket, a
@@ -51,9 +72,8 @@ double noise_curve(std::uint64_t seed, sim_time t, double amplitude) {
 /// "time-synchronous events" of Section 7 — and co-located tenants drive
 /// the >40% contention outliers of Figure 9 and the ready-time spikes of
 /// Figure 8.
-double burst_curve(std::uint64_t seed, sim_time t) {
-    const std::int64_t bucket = t / minutes(30);
-    const double u = bucket_hash(splitmix64(seed ^ 0xb5297a4d3f2c1e0bULL), bucket);
+double burst_multiplier(std::uint64_t stream, std::int64_t bucket) {
+    const double u = bucket_hash(stream, bucket);
     if (u > 0.015) return 1.0;
     // reuse the low bits of u for the spike height
     const double v = u / 0.015;
@@ -63,40 +83,77 @@ double burst_curve(std::uint64_t seed, sim_time t) {
 }  // namespace
 
 double smooth_hash_noise(std::uint64_t seed, double pos) {
-    const double floor_pos = std::floor(pos);
-    const auto bucket = static_cast<std::int64_t>(floor_pos);
-    const double frac = pos - floor_pos;
+    std::int64_t bucket = 0;
+    double step = 0.0;
+    bucket_coordinate(pos, bucket, step);
     const double a = bucket_hash(seed, bucket);
     const double b = bucket_hash(seed, bucket + 1);
-    return a + (b - a) * smoothstep(frac);
+    return a + (b - a) * step;
+}
+
+behavior_instant behavior_instant::at(sim_time t) {
+    behavior_instant in = bucket_instant(t);
+    // business-hours sine peaking at 14:00 local; zero-mean over a day
+    const double hour = static_cast<double>(second_of_day(t)) / 3600.0;
+    in.day_shape = std::sin((hour - 8.0) / 24.0 * 2.0 * std::numbers::pi);
+    in.weekend = is_weekend(t);
+    return in;
+}
+
+void behavior_cache::refill(const vm_behavior& b, const behavior_instant& in) {
+    if (fast_bucket_ == unset) {
+        for (unsigned s = 0; s < vm_behavior::stream_count; ++s) {
+            seeds_[s] = stream_seed(b.seed, s);
+        }
+        burst_seed_ = burst_stream_seed(b.burst_seed);
+    }
+    if (fast_bucket_ != in.fast_bucket) {
+        const bool step = fast_bucket_ != unset && fast_bucket_ + 1 == in.fast_bucket;
+        for (unsigned s = 0; s < vm_behavior::stream_count; ++s) {
+            noise_endpoints& e = noise_[s];
+            e.fast_a = step ? e.fast_b : bucket_hash(seeds_[s], in.fast_bucket);
+            e.fast_b = bucket_hash(seeds_[s], in.fast_bucket + 1);
+        }
+        fast_bucket_ = in.fast_bucket;
+    }
+    if (slow_bucket_ != in.slow_bucket) {
+        const bool step = slow_bucket_ != unset && slow_bucket_ + 1 == in.slow_bucket;
+        for (unsigned s = 0; s < vm_behavior::stream_count; ++s) {
+            const std::uint64_t slow_seed = splitmix64(seeds_[s]);
+            noise_endpoints& e = noise_[s];
+            e.slow_a = step ? e.slow_b : bucket_hash(slow_seed, in.slow_bucket);
+            e.slow_b = bucket_hash(slow_seed, in.slow_bucket + 1);
+        }
+        slow_bucket_ = in.slow_bucket;
+    }
+    if (burst_bucket_ != in.burst_bucket) {
+        burst_ = burst_multiplier(burst_seed_, in.burst_bucket);
+        burst_bucket_ = in.burst_bucket;
+    }
 }
 
 double vm_behavior::cpu_ratio_at(sim_time t) const {
-    double v = cpu_mean_ratio;
-    if (business_hours) v *= weekly_curve(t, diurnal_amplitude);
-    v *= noise_curve(seed, t, cal::noise_amplitude);
-    if (bursty) v *= burst_curve(burst_seed, t);
-    return clamp_ratio(v);
+    const behavior_instant in = behavior_instant::at(t);
+    return cpu_ratio_at(
+        in, hashed_endpoints(seed, in),
+        bursty ? burst_multiplier(burst_stream_seed(burst_seed), in.burst_bucket)
+               : 1.0);
 }
 
 double vm_behavior::mem_ratio_at(sim_time t, sim_duration age) const {
-    double v = mem_mean_ratio;
-    // memory moves far less than CPU: small noise, no business-hours swing
-    v *= noise_curve(splitmix64(seed ^ 0x6d5f3c1b2a498675ULL), t, 0.05);
-    v += mem_growth_per_day * (static_cast<double>(age) / 86400.0);
-    return clamp_ratio(v);
+    const behavior_instant in = bucket_instant(t);
+    return mem_ratio_at(in, hashed_endpoints(stream_seed(seed, mem_stream), in),
+                        age);
 }
 
 kbps vm_behavior::tx_at(sim_time t) const {
-    return tx_kbps_mean * weekly_curve(t, diurnal_amplitude) *
-           noise_curve(splitmix64(seed ^ 0x1f83d9abfb41bd6bULL), t,
-                       cal::noise_amplitude);
+    const behavior_instant in = behavior_instant::at(t);
+    return tx_at(in, hashed_endpoints(stream_seed(seed, tx_stream), in));
 }
 
 kbps vm_behavior::rx_at(sim_time t) const {
-    return rx_kbps_mean * weekly_curve(t, diurnal_amplitude) *
-           noise_curve(splitmix64(seed ^ 0x5be0cd19137e2179ULL), t,
-                       cal::noise_amplitude);
+    const behavior_instant in = behavior_instant::at(t);
+    return rx_at(in, hashed_endpoints(stream_seed(seed, rx_stream), in));
 }
 
 behavior_model::behavior_model(std::uint64_t master_seed)

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "simcore/stats.hpp"
 #include "workload/calibration.hpp"
@@ -211,6 +215,121 @@ TEST(BehaviorModelTest, DiskFillWithinBand) {
 }
 
 // --- lifetimes (Figure 15) --------------------------------------------------
+
+// --- cached evaluation (the scrape path) -----------------------------------
+
+/// A mixed population: general-purpose (some bursty, some around the
+/// clock), HANA and S/4 app servers, spread over several projects.
+std::vector<vm_behavior> cache_test_vms() {
+    const behavior_model model(2024);
+    const workload_class classes[] = {workload_class::general_purpose,
+                                      workload_class::hana_db,
+                                      workload_class::s4hana_app};
+    std::mt19937_64 gen(99);
+    std::vector<vm_behavior> out;
+    for (int i = 0; i < 300; ++i) {
+        const auto id = static_cast<std::int32_t>(gen() % 1'000'000);
+        out.push_back(model.sample(vm_id(id), make_flavor(classes[i % 3]),
+                                   project_id(static_cast<std::int32_t>(i % 17))));
+    }
+    return out;
+}
+
+/// Bitwise equality of the cached reads and the pure *_at(t) functions.
+void expect_cache_matches_pure(const behavior_cache& cache,
+                               const vm_behavior& b, sim_time t) {
+    const behavior_instant in = behavior_instant::at(t);
+    ASSERT_TRUE(cache.current(in)) << "t=" << t;
+    const sim_duration age = t + 12345;
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    EXPECT_EQ(bits(cache.cpu_ratio(b, in)), bits(b.cpu_ratio_at(t))) << "t=" << t;
+    EXPECT_EQ(bits(cache.mem_ratio(b, in, age)), bits(b.mem_ratio_at(t, age)))
+        << "t=" << t;
+    EXPECT_EQ(bits(cache.tx(b, in)), bits(b.tx_at(t))) << "t=" << t;
+    EXPECT_EQ(bits(cache.rx(b, in)), bits(b.rx_at(t))) << "t=" << t;
+}
+
+TEST(BehaviorCacheTest, PopulationCoversEveryBehaviourKind) {
+    int bursty = 0, around_the_clock = 0, hana = 0;
+    for (const vm_behavior& b : cache_test_vms()) {
+        bursty += b.bursty ? 1 : 0;
+        around_the_clock += b.business_hours ? 0 : 1;
+        hana += b.diurnal_amplitude == calibration::hana_diurnal_amplitude ? 1 : 0;
+    }
+    EXPECT_GT(bursty, 0);
+    EXPECT_GT(around_the_clock, 0);
+    EXPECT_GT(hana, 0);
+}
+
+TEST(BehaviorCacheTest, ConsecutiveScrapesMatchPureEvaluation) {
+    // the scrape cadence walks every bucket one step at a time (b -> a)
+    for (const vm_behavior& b : cache_test_vms()) {
+        behavior_cache cache;
+        for (sim_time t = days(4) - 7200; t < days(6); t += 300) {
+            cache.refresh(b, behavior_instant::at(t));
+            expect_cache_matches_pure(cache, b, t);
+        }
+    }
+}
+
+TEST(BehaviorCacheTest, InstantsOnAndNextToEveryBucketEdgeMatch) {
+    // 30 min edges include every 1 h and 6 h edge; one cache per VM sees
+    // edge-1, edge, edge+1 in turn (in-bucket, step, in-bucket)
+    for (const vm_behavior& b : cache_test_vms()) {
+        behavior_cache cache;
+        for (sim_time edge = minutes(30); edge <= days(2); edge += minutes(30)) {
+            for (const sim_time t : {edge - 1, edge, edge + 1}) {
+                cache.refresh(b, behavior_instant::at(t));
+                expect_cache_matches_pure(cache, b, t);
+            }
+        }
+    }
+}
+
+TEST(BehaviorCacheTest, SkippedBucketsRefillFromTheSeeds) {
+    // gaps of two fast buckets, one slow bucket, several days — and a step
+    // back — must never reuse a stale endpoint
+    const sim_duration gaps[] = {7200, 7201, 21600, 25 * 3600, days(3), 3599};
+    for (const vm_behavior& b : cache_test_vms()) {
+        behavior_cache cache;
+        sim_time t = 1800;
+        for (int i = 0; i < 12; ++i) {
+            cache.refresh(b, behavior_instant::at(t));
+            expect_cache_matches_pure(cache, b, t);
+            t += gaps[i % std::size(gaps)];
+        }
+        t -= days(1);
+        cache.refresh(b, behavior_instant::at(t));
+        expect_cache_matches_pure(cache, b, t);
+    }
+}
+
+TEST(BehaviorCacheTest, ResetSlotServesTheNextVm) {
+    // a recycled slot: VM a fills the entry, then VM b takes the slot
+    // mid-bucket (reset on fill) and must see its own streams only
+    const std::vector<vm_behavior> vms = cache_test_vms();
+    behavior_cache cache;
+    for (std::size_t i = 0; i + 1 < vms.size(); i += 7) {
+        const sim_time t = days(1) + static_cast<sim_time>(i) * 300;
+        cache.refresh(vms[i], behavior_instant::at(t));
+        cache.reset();
+        EXPECT_FALSE(cache.current(behavior_instant::at(t)));
+        cache.refresh(vms[i + 1], behavior_instant::at(t));
+        expect_cache_matches_pure(cache, vms[i + 1], t);
+        cache.refresh(vms[i + 1], behavior_instant::at(t + 3600));
+        expect_cache_matches_pure(cache, vms[i + 1], t + 3600);
+    }
+}
+
+TEST(BehaviorCacheTest, CurrentOnlyWithinTheSameBuckets) {
+    const vm_behavior b = cache_test_vms().front();
+    behavior_cache cache;
+    EXPECT_FALSE(cache.current(behavior_instant::at(0)));
+    cache.refresh(b, behavior_instant::at(600));
+    EXPECT_TRUE(cache.current(behavior_instant::at(0)));
+    EXPECT_TRUE(cache.current(behavior_instant::at(1799)));
+    EXPECT_FALSE(cache.current(behavior_instant::at(1800)));  // burst edge
+}
 
 TEST(LifetimeModelTest, DeterministicPerVm) {
     const lifetime_model model(42);

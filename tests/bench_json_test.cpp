@@ -89,6 +89,22 @@ TEST(BenchJsonTest, ParsesPreRssLinesWithZeroPeak) {
     EXPECT_DOUBLE_EQ(parsed[0].peak_rss_mib, 0.0);
 }
 
+TEST(BenchJsonTest, RoundTripsHostMetadata) {
+    const std::vector<bench_entry> entries = {
+        {"bm_a", 1.0, 2.0, 3.0, 4, "RelWithDebInfo"},
+        {"bm_old", 1.0, 2.0, 3.0}};
+    const std::string text = render_bench_json(entries);
+    const auto parsed = parse_bench_json(text);
+    ASSERT_EQ(parsed.size(), 2u);
+    EXPECT_EQ(parsed[0].nproc, 4u);
+    EXPECT_EQ(parsed[0].build_type, "RelWithDebInfo");
+    EXPECT_DOUBLE_EQ(parsed[0].peak_rss_mib, 3.0);
+    // an entry without host metadata renders and parses without it
+    EXPECT_EQ(parsed[1].nproc, 0u);
+    EXPECT_TRUE(parsed[1].build_type.empty());
+    EXPECT_EQ(render_bench_json(parsed), text);
+}
+
 TEST(BenchJsonTest, ProcessPeakRssIsPositiveOnLinux) {
     // /proc/self/status always carries VmHWM on Linux; a test process has
     // touched at least a few MiB by the time this runs

@@ -178,6 +178,9 @@ TEST_F(DatasetTest, ImportDatasetMissingDirThrows) {
     EXPECT_THROW(import_dataset(dir_ / "nope"), not_found_error);
 }
 
+template <typename T>
+concept has_variance = requires(const T& s) { s.variance(); };
+
 TEST(FromMomentsTest, ReconstructsMoments) {
     const running_stats s = running_stats::from_moments(4, 2.5, 1.0, 4.0);
     EXPECT_EQ(s.count(), 4u);
@@ -185,7 +188,10 @@ TEST(FromMomentsTest, ReconstructsMoments) {
     EXPECT_DOUBLE_EQ(s.sum(), 10.0);
     EXPECT_DOUBLE_EQ(s.min(), 1.0);
     EXPECT_DOUBLE_EQ(s.max(), 4.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);  // documented: not recoverable
+    // exported aggregates carry no spread: variance lives on the Welford
+    // accumulator only, never on the count/sum/min/max slot type
+    static_assert(!has_variance<running_stats>);
+    static_assert(has_variance<welford_stats>);
     EXPECT_TRUE(running_stats::from_moments(0, 0, 0, 0).empty());
     EXPECT_THROW(running_stats::from_moments(2, 1.0, 5.0, 1.0),
                  precondition_error);

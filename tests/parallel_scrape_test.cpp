@@ -11,17 +11,22 @@
 
 #include "core/engine.hpp"
 #include "determinism.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace sci {
 namespace {
 
-std::unique_ptr<sim_engine> run_with_threads(unsigned threads) {
+engine_config config_with_threads(unsigned threads) {
     engine_config config;
     config.scenario.scale = 0.02;  // ~36 nodes, ~960 VMs
     config.scenario.seed = 11;
     config.sampling_interval = 900;
     config.threads = threads;
-    auto engine = std::make_unique<sim_engine>(config);
+    return config;
+}
+
+std::unique_ptr<sim_engine> run_with_threads(unsigned threads) {
+    auto engine = std::make_unique<sim_engine>(config_with_threads(threads));
     engine->run();
     return engine;
 }
@@ -115,6 +120,31 @@ TEST(ParallelScrapeTest, VmPlacementsAreIdenticalAcrossThreadCounts) {
         EXPECT_EQ(a[i].placed_bb, b[i].placed_bb);
         EXPECT_EQ(a[i].placed_node, b[i].placed_node);
         EXPECT_EQ(a[i].migration_count, b[i].migration_count);
+    }
+}
+
+TEST(ParallelScrapeTest, EngineRestoredMidBucketContinuesBitIdentically) {
+    // Checkpoint between scrapes, inside a 1 h, a 6 h and a 30 min noise
+    // bucket: the restored engine starts with an empty behaviour cache and
+    // refills it (on 4 workers) at its first scrape, yet must continue
+    // exactly like the uninterrupted serial run.
+    const sim_time checkpoint = days(2) + 2 * 3600 + 2250;
+    sim_engine original(config_with_threads(4));
+    original.setup();
+    original.run_until(checkpoint);
+    const std::unique_ptr<sim_engine> restored = snapshot::restore(
+        snapshot::deserialize(snapshot::serialize(snapshot::capture(original))));
+    restored->run();
+
+    const sim_engine& reference = *engines()[0];
+    expect_stats_equal(reference.stats(), restored->stats());
+    expect_placements_equal(reference, *restored);
+    using namespace metric_names;
+    for (const std::string_view metric :
+         {vm_cpu_usage_ratio, vm_memory_consumed_ratio,
+          host_cpu_core_utilization, host_cpu_contention, host_network_tx}) {
+        expect_series_aggregates_equal(reference.store(), restored->store(),
+                                       metric, 1);
     }
 }
 

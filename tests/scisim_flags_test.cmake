@@ -29,3 +29,18 @@ execute_process(COMMAND "${CMAKE_COMMAND}" -E env SCI_BENCH_DAYS=two
 if(NOT status EQUAL 2 OR NOT err MATCHES "SCI_BENCH_DAYS: expected")
   message(FATAL_ERROR "SCI_BENCH_DAYS=two: exit ${status}, stderr: ${err}")
 endif()
+
+execute_process(COMMAND "${CMAKE_COMMAND}" -E env SCI_THREADS=abc
+                        "${SCISIM}" simulate
+                RESULT_VARIABLE status ERROR_VARIABLE err OUTPUT_QUIET)
+if(NOT status EQUAL 2 OR NOT err MATCHES "SCI_THREADS: expected")
+  message(FATAL_ERROR "SCI_THREADS=abc: exit ${status}, stderr: ${err}")
+endif()
+
+# several --restore files on a one-region run: refuse instead of resuming
+# from the first and dropping the rest (checked before any file is read)
+execute_process(COMMAND "${SCISIM}" simulate --restore a.snap --restore b.snap
+                RESULT_VARIABLE status ERROR_VARIABLE err OUTPUT_QUIET)
+if(NOT status EQUAL 2 OR NOT err MATCHES "--restore given 2 files")
+  message(FATAL_ERROR "two --restore files: exit ${status}, stderr: ${err}")
+endif()

@@ -20,7 +20,6 @@ TEST(RunningStatsTest, EmptyDefaults) {
     EXPECT_TRUE(s.empty());
     EXPECT_EQ(s.count(), 0u);
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
     EXPECT_TRUE(std::isinf(s.min()));
     EXPECT_TRUE(std::isinf(s.max()));
 }
@@ -32,15 +31,12 @@ TEST(RunningStatsTest, SingleValue) {
     EXPECT_DOUBLE_EQ(s.mean(), 5.0);
     EXPECT_DOUBLE_EQ(s.min(), 5.0);
     EXPECT_DOUBLE_EQ(s.max(), 5.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
 TEST(RunningStatsTest, KnownMoments) {
     running_stats s;
     for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
     EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 4.0);  // classic population-variance example
-    EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
     EXPECT_DOUBLE_EQ(s.min(), 2.0);
     EXPECT_DOUBLE_EQ(s.max(), 9.0);
     EXPECT_DOUBLE_EQ(s.sum(), 40.0);
@@ -58,9 +54,45 @@ TEST(RunningStatsTest, MergeMatchesDirectAccumulation) {
     a.merge(b);
     EXPECT_EQ(a.count(), direct.count());
     EXPECT_NEAR(a.mean(), direct.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), direct.variance(), 1e-9);
     EXPECT_DOUBLE_EQ(a.min(), direct.min());
     EXPECT_DOUBLE_EQ(a.max(), direct.max());
+}
+
+TEST(WelfordStatsTest, EmptyAndSingleValueHaveZeroVariance) {
+    welford_stats s;
+    EXPECT_EQ(s.count(), 0u);
+    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
+    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
+    s.add(5.0);
+    EXPECT_EQ(s.count(), 1u);
+    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
+    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
+}
+
+TEST(WelfordStatsTest, KnownMoments) {
+    welford_stats s;
+    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
+    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
+    EXPECT_DOUBLE_EQ(s.variance(), 4.0);  // classic population-variance example
+    EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
+}
+
+TEST(WelfordStatsTest, VarianceMatchesTwoPassFormula) {
+    std::mt19937_64 gen(7);
+    std::uniform_real_distribution<double> dist(-10.0, 10.0);
+    std::vector<double> values;
+    welford_stats s;
+    for (int i = 0; i < 1000; ++i) {
+        values.push_back(dist(gen));
+        s.add(values.back());
+    }
+    double mean = 0.0;
+    for (double v : values) mean += v;
+    mean /= static_cast<double>(values.size());
+    double m2 = 0.0;
+    for (double v : values) m2 += (v - mean) * (v - mean);
+    EXPECT_NEAR(s.mean(), mean, 1e-9);
+    EXPECT_NEAR(s.variance(), m2 / static_cast<double>(values.size()), 1e-9);
 }
 
 TEST(RunningStatsTest, MergeWithEmptySides) {

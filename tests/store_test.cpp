@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "simcore/error.hpp"
 
 namespace sci {
@@ -227,6 +233,91 @@ TEST(MetricStoreTest, ConfigurableDays) {
     store.append(id, days(7) + 1, 5.0);  // beyond horizon
     EXPECT_EQ(store.dropped_samples(), 1u);
     EXPECT_THROW(store.daily(id, 7), precondition_error);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Slots keep what a Thanos downsampled chunk keeps: count, sum, min, max.
+static_assert(sizeof(running_stats) == 32);
+
+TEST(MetricStoreTest, LeanSlotsReproduceSumMeanMinMaxExactly) {
+    // hourly-flagged metric, so both slot kinds are checked
+    metric_store store = make_store();
+    const series_id id = store.open_series(metric_names::host_cpu_ready,
+                                           label_set{{"node", "n1"}});
+    ASSERT_TRUE(store.metric_of(id).hourly);
+    std::mt19937_64 gen(3);
+    std::uniform_real_distribution<double> dist(0.0, 100.0);
+    std::vector<std::vector<double>> by_day(3), by_hour(72);
+    for (sim_time t = 0; t < days(3); t += 300) {
+        const double v = dist(gen);
+        store.append(id, t, v);
+        by_day[static_cast<std::size_t>(t / seconds_per_day)].push_back(v);
+        by_hour[static_cast<std::size_t>(t / seconds_per_hour)].push_back(v);
+    }
+    const auto expect_slot = [](const running_stats* slot,
+                                const std::vector<double>& values) {
+        ASSERT_NE(slot, nullptr);
+        double sum = 0.0;
+        for (double v : values) sum += v;  // the store's add order
+        EXPECT_EQ(slot->count(), values.size());
+        EXPECT_EQ(bits(slot->sum()), bits(sum));
+        EXPECT_EQ(bits(slot->mean()),
+                  bits(sum / static_cast<double>(values.size())));
+        EXPECT_EQ(bits(slot->min()),
+                  bits(*std::min_element(values.begin(), values.end())));
+        EXPECT_EQ(bits(slot->max()),
+                  bits(*std::max_element(values.begin(), values.end())));
+    };
+    for (int day = 0; day < 3; ++day) {
+        expect_slot(store.daily(id, day), by_day[static_cast<std::size_t>(day)]);
+    }
+    for (int hour = 0; hour < 72; ++hour) {
+        expect_slot(store.hourly(id, hour), by_hour[static_cast<std::size_t>(hour)]);
+    }
+
+    // the window aggregate merges the day slots in day order
+    const running_stats total = store.window_aggregate(id);
+    double sum = 0.0;
+    for (int day = 0; day < 3; ++day) sum += store.daily(id, day)->sum();
+    EXPECT_EQ(total.count(), 3u * 288u);
+    EXPECT_EQ(bits(total.sum()), bits(sum));
+    EXPECT_EQ(bits(total.min()),
+              bits(std::min({store.daily(id, 0)->min(), store.daily(id, 1)->min(),
+                             store.daily(id, 2)->min()})));
+    EXPECT_EQ(bits(total.max()),
+              bits(std::max({store.daily(id, 0)->max(), store.daily(id, 1)->max(),
+                             store.daily(id, 2)->max()})));
+}
+
+TEST(MetricStoreTest, LeanSlotsMergeAndCheckpointExactly) {
+    running_stats a, b;
+    for (double v : {3.5, -1.25, 8.0}) a.add(v);
+    for (double v : {0.125, 9.5}) b.add(v);
+    running_stats merged = a;
+    merged.merge(b);
+    EXPECT_EQ(merged.count(), 5u);
+    EXPECT_EQ(bits(merged.sum()), bits(a.sum() + b.sum()));
+    EXPECT_EQ(merged.min(), -1.25);
+    EXPECT_EQ(merged.max(), 9.5);
+
+    // merge_daily ingests a block into the same slot arithmetic
+    metric_store store = make_store();
+    const series_id id = store.open_series(metric_names::host_memory_usage,
+                                           label_set{{"node", "n"}});
+    store.merge_daily(id, 4, a);
+    store.merge_daily(id, 4, b);
+    EXPECT_EQ(bits(store.daily(id, 4)->sum()), bits(merged.sum()));
+    EXPECT_EQ(store.daily(id, 4)->count(), 5u);
+
+    // a checkpointed slot continues every later add bit for bit
+    running_stats restored = running_stats::from_exact(merged.exact());
+    merged.add(0.1);
+    restored.add(0.1);
+    EXPECT_EQ(restored.count(), merged.count());
+    EXPECT_EQ(bits(restored.sum()), bits(merged.sum()));
+    EXPECT_EQ(bits(restored.min()), bits(merged.min()));
+    EXPECT_EQ(bits(restored.max()), bits(merged.max()));
 }
 
 TEST(MetricStoreTest, RejectsNonPositiveDays) {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -140,10 +141,26 @@ TEST(ThreadPoolTest, EnvThreadsParsesSciThreads) {
     EXPECT_EQ(thread_pool::env_threads(), 6u);
     ::setenv("SCI_THREADS", "0", 1);
     EXPECT_EQ(thread_pool::env_threads(), 0u);
-    ::setenv("SCI_THREADS", "garbage", 1);
+    ::setenv("SCI_THREADS", "", 1);
     EXPECT_EQ(thread_pool::env_threads(), 0u);
     ::unsetenv("SCI_THREADS");
     EXPECT_EQ(thread_pool::env_threads(), 0u);
+}
+
+TEST(ThreadPoolTest, EnvThreadsRejectsMalformedValues) {
+    // a typo must not silently run serial ("abc") or on a prefix ("2x")
+    for (const char* bad : {"abc", "2x", "-1", " 2", "1.5"}) {
+        ::setenv("SCI_THREADS", bad, 1);
+        try {
+            (void)thread_pool::env_threads();
+            ADD_FAILURE() << "SCI_THREADS='" << bad << "' was accepted";
+        } catch (const error& e) {
+            EXPECT_NE(std::string(e.what()).find("SCI_THREADS"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    ::unsetenv("SCI_THREADS");
 }
 
 TEST(ThreadPoolTest, ShardRejectsInvalidArguments) {

@@ -35,6 +35,7 @@
 #include "harness/scenario_dsl.hpp"
 #include "multiregion/region_set.hpp"
 #include "simcore/parse.hpp"
+#include "simcore/thread_pool.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace {
@@ -105,6 +106,7 @@ cli_options parse_options(int argc, char** argv, int first) {
     cli_options options;
     try {
         if (const int cap = sci::bench_days_cap(); cap > 0) options.days = cap;
+        (void)sci::thread_pool::env_threads();  // a bad SCI_THREADS exits 2
         for (int i = first; i < argc; ++i) {
             const std::string arg = argv[i];
             const auto next = [&]() -> const char* {
@@ -241,10 +243,16 @@ finished_run run_regions(const cli_options& options,
     if (!options.restore_files.empty()) {
         // resume from checkpoints (one per region, in region order): the
         // snapshots' embedded configs win over --scale/--seed
+        if (solo && options.restore_files.size() > 1) {
+            std::cerr << "--restore given " << options.restore_files.size()
+                      << " files, but the run has one region: pass "
+                         "--regions N or a scenario with [region.N] "
+                         "sections to restore a multi-region checkpoint\n";
+            std::exit(2);
+        }
         std::vector<sci::snapshot::engine_state> states;
         for (const std::filesystem::path& file : options.restore_files) {
             states.push_back(sci::snapshot::load_file(file));
-            if (solo) break;
         }
         if (solo) {
             std::cout << "restoring checkpoint "

@@ -31,6 +31,7 @@
 #include "harness/harness.hpp"
 #include "harness/scenario_dsl.hpp"
 #include "simcore/parse.hpp"
+#include "simcore/thread_pool.hpp"
 
 namespace {
 
@@ -77,6 +78,7 @@ int main(int argc, char** argv) {
     std::vector<std::filesystem::path> inputs;
     try {
         options.days = sci::bench_days_cap();
+        (void)sci::thread_pool::env_threads();  // a bad SCI_THREADS exits 2
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             const auto next = [&]() -> const char* {
